@@ -55,7 +55,7 @@ func cell(tb testing.TB, t *exp.Table, row, col int) float64 {
 // host-centric (+Config/+Copy), native and virtualized.
 func BenchmarkFig1SSSP(b *testing.B) {
 	ts := benchTable(b, func() ([]*exp.Table, error) {
-		t, err := exp.Fig1(exp.ScaleQuick)
+		t, err := exp.NewSession(exp.Options{}).Fig1()
 		return []*exp.Table{t}, err
 	})
 	// Headline: host-centric+Config / shared-memory at the largest size.
@@ -78,7 +78,7 @@ func BenchmarkTable2Resources(b *testing.B) {
 // vs pass-through on UPI and PCIe.
 func BenchmarkFig4Latency(b *testing.B) {
 	ts := benchTable(b, func() ([]*exp.Table, error) {
-		t, err := exp.Fig4a(exp.ScaleQuick)
+		t, err := exp.NewSession(exp.Options{}).Fig4a()
 		return []*exp.Table{t}, err
 	})
 	b.ReportMetric(cell(b, ts[0], 0, 3), "UPIpct")
@@ -89,7 +89,7 @@ func BenchmarkFig4Latency(b *testing.B) {
 // under OPTIMUS normalized to pass-through.
 func BenchmarkFig4Throughput(b *testing.B) {
 	ts := benchTable(b, func() ([]*exp.Table, error) {
-		t, err := exp.Fig4b(exp.ScaleQuick)
+		t, err := exp.NewSession(exp.Options{}).Fig4b()
 		return []*exp.Table{t}, err
 	})
 	b.ReportMetric(cell(b, ts[0], 0, 3), "membenchPct")
@@ -100,7 +100,7 @@ func BenchmarkFig4Throughput(b *testing.B) {
 // optimus-bench runs all four).
 func BenchmarkFig5LLLatency(b *testing.B) {
 	benchTable(b, func() ([]*exp.Table, error) {
-		t, err := exp.Fig5(mem.PageSize2M, ccip.VCUPI, exp.ScaleQuick)
+		t, err := exp.NewSession(exp.Options{}).Fig5(mem.PageSize2M, ccip.VCUPI)
 		return []*exp.Table{t}, err
 	})
 }
@@ -108,7 +108,7 @@ func BenchmarkFig5LLLatency(b *testing.B) {
 // BenchmarkFig5LLLatency4K regenerates Figure 5b (4K pages).
 func BenchmarkFig5LLLatency4K(b *testing.B) {
 	benchTable(b, func() ([]*exp.Table, error) {
-		t, err := exp.Fig5(mem.PageSize4K, ccip.VCUPI, exp.ScaleQuick)
+		t, err := exp.NewSession(exp.Options{}).Fig5(mem.PageSize4K, ccip.VCUPI)
 		return []*exp.Table{t}, err
 	})
 }
@@ -117,7 +117,7 @@ func BenchmarkFig5LLLatency4K(b *testing.B) {
 // random-read throughput vs working set and job count (2M pages).
 func BenchmarkFig6MBThroughput(b *testing.B) {
 	benchTable(b, func() ([]*exp.Table, error) {
-		t, err := exp.Fig6(mem.PageSize2M, false, exp.ScaleQuick)
+		t, err := exp.NewSession(exp.Options{}).Fig6(mem.PageSize2M, false)
 		return []*exp.Table{t}, err
 	})
 }
@@ -125,7 +125,7 @@ func BenchmarkFig6MBThroughput(b *testing.B) {
 // BenchmarkFig6MBThroughput4K regenerates Figure 6b (4K pages, reads).
 func BenchmarkFig6MBThroughput4K(b *testing.B) {
 	benchTable(b, func() ([]*exp.Table, error) {
-		t, err := exp.Fig6(mem.PageSize4K, false, exp.ScaleQuick)
+		t, err := exp.NewSession(exp.Options{}).Fig6(mem.PageSize4K, false)
 		return []*exp.Table{t}, err
 	})
 }
@@ -133,7 +133,7 @@ func BenchmarkFig6MBThroughput4K(b *testing.B) {
 // BenchmarkFig6MBWrites regenerates Figure 6's random-write series.
 func BenchmarkFig6MBWrites(b *testing.B) {
 	benchTable(b, func() ([]*exp.Table, error) {
-		t, err := exp.Fig6(mem.PageSize2M, true, exp.ScaleQuick)
+		t, err := exp.NewSession(exp.Options{}).Fig6(mem.PageSize2M, true)
 		return []*exp.Table{t}, err
 	})
 }
@@ -142,7 +142,7 @@ func BenchmarkFig6MBWrites(b *testing.B) {
 // the real-world applications vs concurrent job count.
 func BenchmarkFig7Scalability(b *testing.B) {
 	ts := benchTable(b, func() ([]*exp.Table, error) {
-		t, err := exp.Fig7(exp.ScaleQuick)
+		t, err := exp.NewSession(exp.Options{}).Fig7()
 		return []*exp.Table{t}, err
 	})
 	// Headline: GAU's 8-job scaling (saturation) vs MD5's (linear).
@@ -161,7 +161,7 @@ func BenchmarkFig7Scalability(b *testing.B) {
 // throughput vs oversubscription factor.
 func BenchmarkFig8Temporal(b *testing.B) {
 	ts := benchTable(b, func() ([]*exp.Table, error) {
-		t, err := exp.Fig8(exp.ScaleQuick)
+		t, err := exp.NewSession(exp.Options{}).Fig8()
 		return []*exp.Table{t}, err
 	})
 	b.ReportMetric(cell(b, ts[0], 0, 5), "LL16jobs")
@@ -171,7 +171,7 @@ func BenchmarkFig8Temporal(b *testing.B) {
 // multiplexing fairness.
 func BenchmarkTable3Fairness(b *testing.B) {
 	benchTable(b, func() ([]*exp.Table, error) {
-		t, err := exp.Table3(exp.ScaleQuick)
+		t, err := exp.NewSession(exp.Options{}).Table3()
 		return []*exp.Table{t}, err
 	})
 }
@@ -180,7 +180,7 @@ func BenchmarkTable3Fairness(b *testing.B) {
 // each accelerator.
 func BenchmarkTable4Colocation(b *testing.B) {
 	benchTable(b, func() ([]*exp.Table, error) {
-		t, err := exp.Table4(exp.ScaleQuick)
+		t, err := exp.NewSession(exp.Options{}).Table4()
 		return []*exp.Table{t}, err
 	})
 }
@@ -188,7 +188,7 @@ func BenchmarkTable4Colocation(b *testing.B) {
 // BenchmarkSchedFairness regenerates §6.8: scheduler policy enforcement.
 func BenchmarkSchedFairness(b *testing.B) {
 	benchTable(b, func() ([]*exp.Table, error) {
-		t, err := exp.SchedFairness(exp.ScaleQuick)
+		t, err := exp.NewSession(exp.Options{}).SchedFairness()
 		return []*exp.Table{t}, err
 	})
 }

@@ -20,7 +20,6 @@ import (
 
 	"optimus/internal/chaos"
 	"optimus/internal/exp"
-	"optimus/internal/hv"
 	"optimus/internal/obs"
 	"optimus/internal/sim"
 )
@@ -46,7 +45,7 @@ type expRecord struct {
 	// bytes of every platform the experiment acquired, sampled when the
 	// platform is handed to the point: SharedBytes over ResidentBytes is
 	// the fraction of memory copy-on-write cloning shared instead of
-	// copying (see exp.MemCounters). cmd/perfdiff gates on ResidentBytes
+	// copying (see exp.Result). cmd/perfdiff gates on ResidentBytes
 	// regressions.
 	CloneMS       float64 `json:"clone_wall_ms"`
 	ResidentBytes uint64  `json:"resident_bytes"`
@@ -61,7 +60,7 @@ type expRecord struct {
 	// Serving fields, present only for the serve experiment: aggregate
 	// offered and completed request rates (per simulated second), the
 	// bursty tenant's p999, and the SLO violation percentage, all at the
-	// highest offered load in elastic mode (exp.ServeSummary). perfdiff
+	// highest offered load in elastic mode (exp.Result.Serve). perfdiff
 	// reports latency-curve shifts as behavior-change signals (not gated).
 	OfferedLoad     float64 `json:"offered_load,omitempty"`
 	AchievedGoodput float64 `json:"achieved_goodput,omitempty"`
@@ -73,7 +72,6 @@ type benchArtifact struct {
 	Scale      string      `json:"scale"`
 	Par        int         `json:"par"`
 	GOMAXPROCS int         `json:"gomaxprocs"`
-	CoW        bool        `json:"cow"`
 	TotalMS    float64     `json:"total_wall_ms"`
 	Records    []expRecord `json:"experiments"`
 }
@@ -88,8 +86,6 @@ func main() {
 	traceCap := flag.Int("trace-cap", 8192, "per-platform trace ring capacity in records (with -trace)")
 	metrics := flag.Bool("metrics", false, "dump every sweep platform's metrics snapshot after the run")
 	chaosSpec := flag.String("chaos", "", "arm seeded fault injection on every sweep platform, e.g. seed=7,rate=10000 (keys: seed,rate,xlat,corrupt,drop,dup,pin,retries; rates in ppm)")
-	cloneFlag := flag.Bool("clone", true, "warm-platform cloning: provision one template per sweep configuration and clone it per point (results are byte-identical either way)")
-	cowFlag := flag.Bool("cow", true, "copy-on-write frame sharing for warm-platform clones; -cow=false deep-copies every resident frame (results are byte-identical either way)")
 	tsOut := flag.String("timeseries", "", "write every sweep platform's windowed metric time-series as one JSON artifact to this path")
 	tsWindow := flag.Duration("tswindow", 100*time.Microsecond, "time-series sampling window, in simulated time")
 	profileFlag := flag.Bool("profile", false, "dump every sweep platform's per-actor sim-time utilization report after the run")
@@ -97,35 +93,33 @@ func main() {
 	sloOut := flag.String("slo", "", "write the serve experiment's SLO-curve artifact (per-point, per-tenant latency percentiles and violation rates) as JSON to this path (requires -exp serve or all)")
 	flag.Parse()
 
-	exp.SetCloning(*cloneFlag)
-	hv.SetCloneCoW(*cowFlag)
 	// The deterministic wall bans wall-clock reads inside experiment code,
-	// so the setup/steady split is measured here: exp brackets its
-	// setup-dominated regions through this observer. cloneNS isolates the
-	// hv.Clone calls within setup, giving the artifact its clone_wall_ms.
+	// so the setup/steady split is measured here: exp brackets platform
+	// acquisition through opts.Setup and the hv.Clone calls within it
+	// through opts.Clone, giving the artifact its clone_wall_ms.
 	var setupNS, cloneNS atomic.Int64
-	exp.SetSetupObserver(func() func() {
-		t0 := time.Now()
-		return func() { setupNS.Add(int64(time.Since(t0))) }
-	})
-	exp.SetCloneObserver(func() func() {
-		t0 := time.Now()
-		return func() { cloneNS.Add(int64(time.Since(t0))) }
-	})
-
+	opts := exp.Options{
+		Par: *par,
+		Setup: func() func() {
+			t0 := time.Now()
+			return func() { setupNS.Add(int64(time.Since(t0))) }
+		},
+		Clone: func() func() {
+			t0 := time.Now()
+			return func() { cloneNS.Add(int64(time.Since(t0))) }
+		},
+	}
 	if *chaosSpec != "" {
 		ccfg, err := chaos.ParseSpec(*chaosSpec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "optimus-bench:", err)
 			os.Exit(1)
 		}
-		hv.ChaosAll(&ccfg)
+		opts.Chaos = &ccfg
 	}
-
-	scale := exp.ScaleQuick
 	scaleName := "quick"
 	if *full {
-		scale = exp.ScaleFull
+		opts.Scale = exp.ScaleFull
 		scaleName = "full"
 	}
 
@@ -142,30 +136,30 @@ func main() {
 	if *expID == "all" {
 		ids = exp.IDs()
 	}
-	exp.SetParallelism(*par)
 
 	// Experiments assemble their platforms deep inside figure code, so
-	// observability is collected through hv's auto-observe hook: each platform
-	// gets a private tracer (bounded ring — sweeps build many platforms) and
-	// metrics registry, gathered into one collector.
+	// observability is requested through the run options: each platform
+	// gets a private tracer (bounded ring — sweeps build many platforms)
+	// and metrics registry, gathered into one collector.
 	var coll *obs.Collector
 	if *traceOut != "" || *metrics || *tsOut != "" || *profileFlag || *critFlag {
 		coll = obs.NewCollector()
-		ringCap := *traceCap
+		opts.Observe = exp.Observe{Collector: coll, TraceCap: *traceCap, Profile: *profileFlag}
 		if *traceOut == "" && !*critFlag && !*profileFlag {
 			// No trace consumer: skip the rings. The profiler counts as a
 			// consumer — it is fed from the tracer's emit stream.
-			ringCap = -1
+			opts.Observe.TraceCap = -1
 		}
-		hv.ObserveAll(coll, ringCap)
 		if *tsOut != "" {
-			hv.SampleAll(&obs.SampleConfig{Window: sim.Time(tsWindow.Nanoseconds()) * sim.Nanosecond})
-		}
-		if *profileFlag {
-			hv.ProfileAll(true)
+			opts.Observe.Sample = &obs.SampleConfig{Window: sim.Time(tsWindow.Nanoseconds()) * sim.Nanosecond}
 		}
 	}
-	art := benchArtifact{Scale: scaleName, Par: exp.Parallelism(), GOMAXPROCS: runtime.GOMAXPROCS(0), CoW: *cowFlag}
+	workers := *par
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	art := benchArtifact{Scale: scaleName, Par: workers, GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	var servePoints []exp.ServePoint
 	suiteStart := time.Now()
 	for _, id := range ids {
 		start := time.Now()
@@ -176,8 +170,8 @@ func main() {
 		eventsBefore := sim.EventsExecuted()
 		setupBefore := setupNS.Load()
 		cloneBefore := cloneNS.Load()
-		residentBefore, sharedBefore := exp.MemCounters()
-		if err := exp.Run(id, scale, os.Stdout); err != nil {
+		res, err := exp.Run(id, opts, os.Stdout)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "optimus-bench: %s: %v\n", id, err)
 			os.Exit(1)
 		}
@@ -191,9 +185,6 @@ func main() {
 		if clone > setup {
 			clone = setup
 		}
-		resident, shared := exp.MemCounters()
-		resident -= residentBefore
-		shared -= sharedBefore
 		fmt.Printf("(%s completed in %v wall time [%v setup, %v clone], %d events, %.3g events/sec)\n\n",
 			id, wall.Round(time.Millisecond), setup.Round(time.Millisecond),
 			clone.Round(time.Millisecond), events, float64(events)/wall.Seconds())
@@ -205,16 +196,19 @@ func main() {
 			SetupMS:       float64(setup.Nanoseconds()) / 1e6,
 			SteadyMS:      float64((wall - setup).Nanoseconds()) / 1e6,
 			CloneMS:       float64(clone.Nanoseconds()) / 1e6,
-			ResidentBytes: resident,
-			SharedBytes:   shared,
+			ResidentBytes: res.ResidentBytes,
+			SharedBytes:   res.SharedBytes,
 		}
 		if coll != nil && *profileFlag {
 			rec.PABusyPct, rec.PAStallPct = paUtil(coll.Platforms()[platsBefore:])
 		}
-		if id == "serve" {
-			if off, good, p999, viol, ok := exp.ServeSummary(); ok {
-				rec.OfferedLoad, rec.AchievedGoodput = off, good
-				rec.P999NS, rec.SLOViolationPct = p999, viol
+		if res.Serve != nil {
+			servePoints = res.Serve
+			for _, p := range res.Serve { // headline: the last (highest-load) elastic point
+				if p.Mode == "elastic" {
+					rec.OfferedLoad, rec.AchievedGoodput = p.OfferedPerSec, p.GoodputPerSec
+					rec.P999NS, rec.SLOViolationPct = p.P999Ns, p.ViolationPct
+				}
 			}
 		}
 		art.Records = append(art.Records, rec)
@@ -241,7 +235,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "optimus-bench: %v\n", err)
 			os.Exit(1)
 		}
-		if err := exp.WriteServeJSON(f); err == nil {
+		if err := exp.WriteServeJSON(f, servePoints); err == nil {
 			err = f.Close()
 		} else {
 			f.Close()

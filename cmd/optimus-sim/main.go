@@ -36,38 +36,6 @@ import (
 	"optimus/internal/sim"
 )
 
-func parseBytes(s string) (uint64, error) {
-	mult := uint64(1)
-	switch {
-	case strings.HasSuffix(s, "G"):
-		mult = 1 << 30
-		s = strings.TrimSuffix(s, "G")
-	case strings.HasSuffix(s, "M"):
-		mult = 1 << 20
-		s = strings.TrimSuffix(s, "M")
-	case strings.HasSuffix(s, "K"):
-		mult = 1 << 10
-		s = strings.TrimSuffix(s, "K")
-	}
-	v, err := strconv.ParseUint(s, 10, 64)
-	return v * mult, err
-}
-
-func parseDuration(s string) (sim.Time, error) {
-	switch {
-	case strings.HasSuffix(s, "ms"):
-		v, err := strconv.ParseFloat(strings.TrimSuffix(s, "ms"), 64)
-		return sim.Time(v * float64(sim.Millisecond)), err
-	case strings.HasSuffix(s, "us"):
-		v, err := strconv.ParseFloat(strings.TrimSuffix(s, "us"), 64)
-		return sim.Time(v * float64(sim.Microsecond)), err
-	case strings.HasSuffix(s, "s"):
-		v, err := strconv.ParseFloat(strings.TrimSuffix(s, "s"), 64)
-		return sim.Time(v * float64(sim.Second)), err
-	}
-	return 0, fmt.Errorf("duration needs a unit (s/ms/us): %q", s)
-}
-
 func main() {
 	app := flag.String("accel", "MB", "accelerator (Table 1 abbreviation)")
 	jobs := flag.Int("jobs", 1, "number of concurrent jobs")
@@ -145,9 +113,9 @@ func parseLoadSpec(spec, sloFlag string) (*loadConfig, error) {
 		case "rate":
 			lc.stream.Arrivals.RatePerSec, err = strconv.ParseFloat(v, 64)
 		case "on":
-			lc.stream.Arrivals.MeanOn, err = parseDuration(v)
+			lc.stream.Arrivals.MeanOn, err = sim.ParseDuration(v)
 		case "off":
-			lc.stream.Arrivals.MeanOff, err = parseDuration(v)
+			lc.stream.Arrivals.MeanOff, err = sim.ParseDuration(v)
 		case "file":
 			lc.stream.Arrivals.Trace, err = readTrace(v)
 		case "seed":
@@ -185,7 +153,7 @@ func parseLoadSpec(spec, sloFlag string) (*loadConfig, error) {
 		return nil, fmt.Errorf("-load: policy=token needs tokrate=<req/s>")
 	}
 	if sloFlag != "" {
-		slo, err := parseDuration(sloFlag)
+		slo, err := sim.ParseDuration(sloFlag)
 		if err != nil {
 			return nil, fmt.Errorf("-slo: %w", err)
 		}
@@ -238,11 +206,11 @@ func (w *loadWorker) Launch(n int) error {
 }
 
 func run(app string, jobs int, temporal bool, wsFlag, durFlag, pages, sliceFlag, policy string, passthrough bool, traceOut string, metrics bool, chaosSpec, loadSpec, sloFlag string, tel telemetry) error {
-	wsBytes, err := parseBytes(wsFlag)
+	wsBytes, err := sim.ParseBytes(wsFlag)
 	if err != nil {
 		return err
 	}
-	duration, err := parseDuration(durFlag)
+	duration, err := sim.ParseDuration(durFlag)
 	if err != nil {
 		return err
 	}
@@ -261,7 +229,7 @@ func run(app string, jobs int, temporal bool, wsFlag, durFlag, pages, sliceFlag,
 	} else if sloFlag != "" {
 		return fmt.Errorf("-slo requires -load")
 	}
-	slice, err := parseDuration(sliceFlag)
+	slice, err := sim.ParseDuration(sliceFlag)
 	if err != nil {
 		return err
 	}
@@ -305,7 +273,7 @@ func run(app string, jobs int, temporal bool, wsFlag, durFlag, pages, sliceFlag,
 		cfg.Metrics = reg
 	}
 	if tel.timeseries != "" {
-		w, err := parseDuration(tel.window)
+		w, err := sim.ParseDuration(tel.window)
 		if err != nil {
 			return fmt.Errorf("-tswindow: %w", err)
 		}
@@ -370,8 +338,10 @@ func run(app string, jobs int, temporal bool, wsFlag, durFlag, pages, sliceFlag,
 			dev.RegWrite(accel.MBArgWritePct, 30)
 			dev.RegWrite(accel.MBArgSeed, uint64(i))
 		case "LL":
-			nodes := int(wsBytes / 256)
-			head := buildList(dev, proc, buf, nodes, uint64(i))
+			head, _, err := dev.BuildList(buf, int(wsBytes/256), uint64(i))
+			if err != nil {
+				return err
+			}
 			dev.RegWrite(accel.LLArgHead, head)
 		default:
 			return fmt.Errorf("optimus-sim drives MB and LL scenarios; use optimus-bench for the application suites")
@@ -514,32 +484,4 @@ func run(app string, jobs int, temporal bool, wsFlag, durFlag, pages, sliceFlag,
 			tr.Len(), tr.Dropped(), traceOut)
 	}
 	return nil
-}
-
-func buildList(dev *guest.Device, proc *hv.Process, buf guest.Buffer, n int, seed uint64) uint64 {
-	if n < 2 {
-		n = 2
-	}
-	rng := sim.NewRand(seed ^ 0x515)
-	slots := int(buf.Size / 64)
-	if n > slots {
-		n = slots
-	}
-	order := rng.Perm(slots)[:n]
-	addrs := make([]uint64, n)
-	for i, s := range order {
-		addrs[i] = uint64(buf.Addr) + uint64(s)*64
-	}
-	for i := 0; i < n; i++ {
-		node := make([]byte, 64)
-		var next uint64
-		if i+1 < n {
-			next = addrs[i+1]
-		}
-		for b := 0; b < 8; b++ {
-			node[b] = byte(next >> (8 * b))
-		}
-		proc.Write(mem.GVA(addrs[i]), node)
-	}
-	return addrs[0]
 }

@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"optimus/internal/fpga"
@@ -85,7 +84,7 @@ func main() {
 // emitTrace generates a load.DiurnalTrace timeline and writes the artifact
 // optimus-sim's -load kind=trace,file= mode reads.
 func emitTrace(path string, seed uint64, spanFlag string, rate, peak float64, cycles int) error {
-	span, err := parseDuration(spanFlag)
+	span, err := sim.ParseDuration(spanFlag)
 	if err != nil {
 		return fmt.Errorf("-span: %w", err)
 	}
@@ -123,20 +122,4 @@ func emitTrace(path string, seed uint64, spanFlag string, rate, peak float64, cy
 	fmt.Printf("trace: %d arrivals over %v (mean %.0f/s, peak factor %.1f, %d cycles, seed %d) -> %s\n",
 		len(times), span, rate, peak, cycles, seed, path)
 	return nil
-}
-
-// parseDuration parses a simulated duration with an s/ms/us unit suffix.
-func parseDuration(s string) (sim.Time, error) {
-	switch {
-	case strings.HasSuffix(s, "ms"):
-		v, err := strconv.ParseFloat(strings.TrimSuffix(s, "ms"), 64)
-		return sim.Time(v * float64(sim.Millisecond)), err
-	case strings.HasSuffix(s, "us"):
-		v, err := strconv.ParseFloat(strings.TrimSuffix(s, "us"), 64)
-		return sim.Time(v * float64(sim.Microsecond)), err
-	case strings.HasSuffix(s, "s"):
-		v, err := strconv.ParseFloat(strings.TrimSuffix(s, "s"), 64)
-		return sim.Time(v * float64(sim.Second)), err
-	}
-	return 0, fmt.Errorf("duration needs a unit (s/ms/us): %q", s)
 }

@@ -57,7 +57,6 @@ type benchArtifact struct {
 	Scale      string      `json:"scale"`
 	Par        int         `json:"par"`
 	GOMAXPROCS int         `json:"gomaxprocs"`
-	CoW        bool        `json:"cow"`
 	TotalMS    float64     `json:"total_wall_ms"`
 	Records    []expRecord `json:"experiments"`
 }
@@ -165,7 +164,6 @@ func main() {
 		}
 		// Memory gate: resident bytes at platform acquisition, present in
 		// artifacts from PR 8 on (absent fields load as 0 and are skipped).
-		// Resident residency is comparable across -cow modes — only
 		// SharedBytes depends on the sharing strategy, so it is reported
 		// but never gated.
 		if p.ResidentBytes > 0 && r.ResidentBytes > 0 {

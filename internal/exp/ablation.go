@@ -16,9 +16,9 @@ import (
 // inter-slice guard. Without it, every tenant's page n lands in the same
 // IOTLB set as every other tenant's page n and the direct-mapped IOTLB
 // thrashes even though the aggregate working set fits its reach.
-func GuardAblation(scale Scale) (*Table, error) {
+func (s *Session) GuardAblation() (*Table, error) {
 	window := sim.Time(1500 * sim.Microsecond)
-	if scale == ScaleFull {
+	if s.o.Scale == ScaleFull {
 		window = 5 * sim.Millisecond
 	}
 	t := &Table{
@@ -34,8 +34,8 @@ func GuardAblation(scale Scale) (*Table, error) {
 	for i := range cells {
 		cells[i] = make([]string, 2)
 	}
-	err := grid(len(perJobs), 2, func(r, c int) error {
-		gbps, err := guardPoint(perJobs[r], c == 1, window)
+	err := s.grid(len(perJobs), 2, func(r, c int) error {
+		gbps, err := s.guardPoint(perJobs[r], c == 1, window)
 		if err != nil {
 			return err
 		}
@@ -51,10 +51,10 @@ func GuardAblation(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-func guardPoint(perJob uint64, disableGuard bool, window sim.Time) (float64, error) {
+func (s *Session) guardPoint(perJob uint64, disableGuard bool, window sim.Time) (float64, error) {
 	cfg := optimusEight("MB")
 	cfg.DisableGuard = disableGuard
-	h, tenants, err := spatialPlatformSlots(cfg, 8)
+	h, tenants, err := s.spatialPlatform(cfg, 8)
 	if err != nil {
 		return 0, err
 	}
@@ -83,9 +83,9 @@ func guardPoint(perJob uint64, disableGuard bool, window sim.Time) (float64, err
 // IOMMUAblation is an extension experiment for §6.4's proposal: integrate
 // the IOMMU into the CPU (cheap page walks) and see how much of the
 // beyond-reach throughput cliff it recovers.
-func IOMMUAblation(scale Scale) (*Table, error) {
+func (s *Session) IOMMUAblation() (*Table, error) {
 	window := sim.Time(1500 * sim.Microsecond)
-	if scale == ScaleFull {
+	if s.o.Scale == ScaleFull {
 		window = 5 * sim.Millisecond
 	}
 	t := &Table{
@@ -101,8 +101,8 @@ func IOMMUAblation(scale Scale) (*Table, error) {
 	for i := range cells {
 		cells[i] = make([]string, 2)
 	}
-	err := grid(len(wss), 2, func(r, c int) error {
-		gbps, err := iommuPoint(wss[r], c == 1, window)
+	err := s.grid(len(wss), 2, func(r, c int) error {
+		gbps, err := s.iommuPoint(wss[r], c == 1, window)
 		if err != nil {
 			return err
 		}
@@ -118,12 +118,12 @@ func IOMMUAblation(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-func iommuPoint(ws uint64, integrated bool, window sim.Time) (float64, error) {
+func (s *Session) iommuPoint(ws uint64, integrated bool, window sim.Time) (float64, error) {
 	cfg := optimusEight("MB")
 	shell := ccip.DefaultConfig()
 	shell.IOMMU = iommu.Config{Integrated: integrated, SpeculativeRegion: true}
 	cfg.Shell = &shell
-	h, tenants, err := spatialPlatformSlots(cfg, 8)
+	h, tenants, err := s.spatialPlatform(cfg, 8)
 	if err != nil {
 		return 0, err
 	}
@@ -154,9 +154,9 @@ func iommuPoint(ws uint64, integrated bool, window sim.Time) (float64, error) {
 // latency under different multiplexer arrangements — the
 // latency-vs-scalability trade-off §6.3 discusses (each tree level adds
 // ~33 ns; a flat mux is lowest-latency but fails 400 MHz timing).
-func MuxArityAblation(scale Scale) (*Table, error) {
+func (s *Session) MuxArityAblation() (*Table, error) {
 	nodes := 2000
-	if scale == ScaleFull {
+	if s.o.Scale == ScaleFull {
 		nodes = 10000
 	}
 	t := &Table{
@@ -174,11 +174,11 @@ func MuxArityAblation(scale Scale) (*Table, error) {
 		{"flat mux", fpga.MuxTopology{Flat: true}, false},
 	}
 	rows := make([][]string, len(cases))
-	err := Points(len(cases), func(i int) error {
+	err := s.points(len(cases), func(i int) error {
 		c := cases[i]
 		cfg := optimusEight("LL")
 		cfg.Monitor.Topology = c.topo
-		h, tenants, err := spatialPlatformSlots(cfg, 1)
+		h, tenants, err := s.spatialPlatform(cfg, 1)
 		if err != nil {
 			return err
 		}
@@ -187,7 +187,10 @@ func MuxArityAblation(scale Scale) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		head, _ := buildGuestList(tn, buf, nodes, 1)
+		head, _, err := tn.dev.BuildList(buf, nodes, 1)
+		if err != nil {
+			return err
+		}
 		tn.dev.RegWrite(accel.LLArgHead, head)
 		h.Phy(0).Accel.SetChannel(ccip.VCUPI)
 		if err := tn.dev.Start(); err != nil {

@@ -19,9 +19,9 @@ var chaosRates = [...]uint32{0, 1_000, 10_000, 50_000}
 // how much of the injected adversity the hypervisor absorbs (recovered vs
 // exhausted), what it costs (recovery latency percentiles), and what is left
 // of goodput.
-func ChaosSweep(scale Scale) (*Table, error) {
+func (s *Session) ChaosSweep() (*Table, error) {
 	window := 3 * sim.Millisecond
-	if scale == ScaleFull {
+	if s.o.Scale == ScaleFull {
 		window = 12 * sim.Millisecond
 	}
 	t := &Table{
@@ -35,8 +35,8 @@ func ChaosSweep(scale Scale) (*Table, error) {
 		},
 	}
 	rows := make([][]string, len(chaosRates))
-	err := Points(len(chaosRates), func(i int) error {
-		row, err := chaosPoint(chaosRates[i], window)
+	err := s.points(len(chaosRates), func(i int) error {
+		row, err := s.chaosPoint(chaosRates[i], window)
 		if err != nil {
 			return fmt.Errorf("rate %d: %w", chaosRates[i], err)
 		}
@@ -53,7 +53,7 @@ func ChaosSweep(scale Scale) (*Table, error) {
 }
 
 // chaosPoint runs one sweep point on a private platform and renders its row.
-func chaosPoint(rate uint32, window sim.Time) ([]string, error) {
+func (s *Session) chaosPoint(rate uint32, window sim.Time) ([]string, error) {
 	cfg := hv.Config{
 		Accels:    []string{"MB", "MB"},
 		TimeSlice: 200 * sim.Microsecond,
@@ -68,7 +68,7 @@ func chaosPoint(rate uint32, window sim.Time) ([]string, error) {
 			DupPPM:     rate,
 		}
 	}
-	h, err := hv.New(cfg)
+	h, err := s.platform(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +80,7 @@ func chaosPoint(rate uint32, window sim.Time) ([]string, error) {
 			return nil, err
 		}
 		tenants[i] = tn
-		if _, err := provisionJob(tn, "MB", 4<<20, uint64(1000+i)); err != nil {
+		if _, err := s.provisionJob(tn, "MB", 4<<20, uint64(1000+i)); err != nil {
 			return nil, err
 		}
 		if _, err := tn.dev.SetupStateBuffer(); err != nil {

@@ -53,7 +53,10 @@ func TestFig4CritPathGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	head, _ := buildGuestList(tn, buf, nodes, 1)
+	head, _, err := tn.dev.BuildList(buf, nodes, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tn.dev.RegWrite(accel.LLArgHead, head)
 	hLL.Phy(0).Accel.SetChannel(ccip.VCUPI)
 	if err := tn.dev.Start(); err != nil {
@@ -76,7 +79,7 @@ func TestFig4CritPathGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := provisionJob(tnA, "AES", 256<<10, 1)
+	j, err := NewSession(Options{}).provisionJob(tnA, "AES", 256<<10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

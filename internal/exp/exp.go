@@ -4,8 +4,9 @@
 // guests and jobs through the public guest API, and measures with the
 // platform's own counters.
 //
-// Runners accept a Scale so the benchmark suite can regenerate every
-// artifact quickly while the CLI can run closer to paper-sized workloads.
+// Runners are methods of a run's Session, whose Options carry a Scale so
+// the benchmark suite can regenerate every artifact quickly while the CLI
+// can run closer to paper-sized workloads.
 // Absolute numbers are not expected to match the authors' testbed — the
 // substrate is a simulator — but the shape (who wins, by what factor,
 // where crossovers and cliffs fall) is the reproduction target; see
@@ -13,7 +14,6 @@
 package exp
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strings"
@@ -21,7 +21,6 @@ import (
 	"optimus/internal/accel"
 	"optimus/internal/guest"
 	"optimus/internal/hv"
-	"optimus/internal/mem"
 	"optimus/internal/sim"
 )
 
@@ -88,11 +87,11 @@ func (t *Table) Render(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// tenant is one guest VM + process + device bound to a physical slot.
+// tenant is one guest VM and its device (in a process of its own) bound to
+// a physical slot.
 type tenant struct {
-	vm   *hv.VM
-	proc *hv.Process
-	dev  *guest.Device
+	vm  *hv.VM
+	dev *guest.Device
 }
 
 func newTenant(h *hv.Hypervisor, slot int) (*tenant, error) {
@@ -109,7 +108,7 @@ func newTenant(h *hv.Hypervisor, slot int) (*tenant, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &tenant{vm: vm, proc: proc, dev: dev}, nil
+	return &tenant{vm: vm, dev: dev}, nil
 }
 
 // job provisions one accelerator job: inputs written, registers programmed.
@@ -125,7 +124,7 @@ type job struct {
 
 // provisionJob prepares a representative job for app on the tenant, sized
 // by inputBytes (line-aligned). It returns the job descriptor.
-func provisionJob(tn *tenant, app string, inputBytes uint64, seed uint64) (*job, error) {
+func (s *Session) provisionJob(tn *tenant, app string, inputBytes uint64, seed uint64) (*job, error) {
 	d := tn.dev
 	rng := sim.NewRand(seed ^ 0xbead)
 	j := &job{dev: tn, work: inputBytes}
@@ -243,7 +242,7 @@ func provisionJob(tn *tenant, app string, inputBytes uint64, seed uint64) (*job,
 			vertices = 256
 		}
 		edges := vertices * 8
-		if err := provisionSSSP(tn, vertices, edges, seed); err != nil {
+		if err := layoutSSSPJob(tn, s.graph(vertices, edges, seed), 0); err != nil {
 			return nil, err
 		}
 		j.work = uint64(edges) * 8
@@ -290,45 +289,16 @@ func provisionJob(tn *tenant, app string, inputBytes uint64, seed uint64) (*job,
 		if err != nil {
 			return nil, err
 		}
-		head, _ := buildGuestList(tn, buf, int(inputBytes/256), seed)
+		head, _, err := d.BuildList(buf, int(inputBytes/256), seed)
+		if err != nil {
+			return nil, err
+		}
 		d.RegWrite(accel.LLArgHead, head)
 		j.work = inputBytes / 256
 	default:
 		return nil, fmt.Errorf("exp: no job template for %q", app)
 	}
 	return j, nil
-}
-
-// buildGuestList lays a randomized linked list of n nodes across buf and
-// returns the head GVA and payload checksum.
-func buildGuestList(tn *tenant, buf guest.Buffer, n int, seed uint64) (uint64, uint64) {
-	if n < 2 {
-		n = 2
-	}
-	slots := int(buf.Size / 64)
-	if n > slots {
-		n = slots
-	}
-	rng := sim.NewRand(seed ^ 0x11)
-	order := rng.Sample(slots, n)
-	addrs := make([]uint64, n)
-	for i, s := range order {
-		addrs[i] = uint64(buf.Addr) + uint64(s)*64
-	}
-	var sum uint64
-	for i := 0; i < n; i++ {
-		node := make([]byte, 64)
-		var next uint64
-		if i+1 < n {
-			next = addrs[i+1]
-		}
-		payload := rng.Uint64()
-		sum += payload
-		binary.LittleEndian.PutUint64(node, next)
-		binary.LittleEndian.PutUint64(node[8:], payload)
-		tn.proc.Write(mem.GVA(addrs[i]), node)
-	}
-	return addrs[0], sum
 }
 
 // writeCodewords fills src with encoded-and-corrupted RS(255,223) slots.
@@ -351,13 +321,6 @@ func writeCodewords(d *guest.Device, src guest.Buffer, count int, rng *sim.Rand)
 		}
 	}
 	return nil
-}
-
-// provisionSSSP lays a CSR graph + descriptor in the tenant's DMA region
-// and programs the SSSP registers. Descriptor layout matches accel.SSSP*.
-func provisionSSSP(tn *tenant, vertices, edges int, seed uint64) error {
-	g := genGraph(vertices, edges, seed)
-	return layoutSSSPJob(tn, g, 0)
 }
 
 func fmtGBps(v float64) string  { return fmt.Sprintf("%.2f", v) }

@@ -41,14 +41,14 @@ func TestRegistryIDsAndUnknown(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := Run("nope", ScaleQuick, &buf); err == nil {
+	if _, err := Run("nope", Options{}, &buf); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
 func TestRunRendersTable1(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Run("table1", ScaleQuick, &buf); err != nil {
+	if _, err := Run("table1", Options{}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, app := range []string{"AES", "SSSP", "LL"} {
@@ -97,6 +97,7 @@ func TestTimingAblationShape(t *testing.T) {
 }
 
 func TestProvisionJobAllApps(t *testing.T) {
+	s := NewSession(Options{})
 	for _, app := range []string{"AES", "MD5", "SHA", "FIR", "GRN", "RSD", "SW", "GAU", "GRS", "SBL", "SSSP", "BTC", "MB", "LL"} {
 		h, err := hv.New(hv.Config{Accels: []string{app}})
 		if err != nil {
@@ -106,19 +107,20 @@ func TestProvisionJobAllApps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := provisionJob(tn, app, 1<<20, 1); err != nil {
+		if _, err := s.provisionJob(tn, app, 1<<20, 1); err != nil {
 			t.Fatalf("%s: %v", app, err)
 		}
 	}
 	// Unknown app rejected.
 	h, _ := hv.New(hv.Config{Accels: []string{"LL"}})
 	tn, _ := newTenant(h, 0)
-	if _, err := provisionJob(tn, "NOPE", 1<<20, 1); err == nil {
+	if _, err := s.provisionJob(tn, "NOPE", 1<<20, 1); err == nil {
 		t.Fatal("unknown app accepted")
 	}
 }
 
 func TestSingleJobRunsToCompletion(t *testing.T) {
+	s := NewSession(Options{})
 	// Each provisioned job must actually complete under runJobsToCompletion.
 	for _, app := range []string{"AES", "RSD", "LL"} {
 		h, err := hv.New(hv.Config{Accels: []string{app}})
@@ -129,7 +131,7 @@ func TestSingleJobRunsToCompletion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j, err := provisionJob(tn, app, 1<<20, 2)
+		j, err := s.provisionJob(tn, app, 1<<20, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,6 +146,7 @@ func TestSingleJobRunsToCompletion(t *testing.T) {
 }
 
 func TestMeasureAggregatePositive(t *testing.T) {
+	s := NewSession(Options{})
 	h, err := hv.New(hv.Config{Accels: []string{"GRN"}})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +155,7 @@ func TestMeasureAggregatePositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := provisionJob(tn, "GRN", 1<<20, 1)
+	j, err := s.provisionJob(tn, "GRN", 1<<20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func cellFloat(t *testing.T, tab *Table, row, col int) float64 {
 }
 
 func TestFig4aShape(t *testing.T) {
-	tab, err := Fig4a(ScaleQuick)
+	tab, err := NewSession(Options{}).Fig4a()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestFig4aShape(t *testing.T) {
 }
 
 func TestFig4bShape(t *testing.T) {
-	tab, err := Fig4b(ScaleQuick)
+	tab, err := NewSession(Options{}).Fig4b()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestFig1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tab, err := Fig1(ScaleQuick)
+	tab, err := NewSession(Options{}).Fig1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestFig1Shape(t *testing.T) {
 }
 
 func TestGuardAblationShape(t *testing.T) {
-	tab, err := GuardAblation(ScaleQuick)
+	tab, err := NewSession(Options{}).GuardAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestGuardAblationShape(t *testing.T) {
 }
 
 func TestIOMMUAblationShape(t *testing.T) {
-	tab, err := IOMMUAblation(ScaleQuick)
+	tab, err := NewSession(Options{}).IOMMUAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestIOMMUAblationShape(t *testing.T) {
 }
 
 func TestMuxArityShape(t *testing.T) {
-	tab, err := MuxArityAblation(ScaleQuick)
+	tab, err := NewSession(Options{}).MuxArityAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +144,12 @@ func TestFig5CliffAt2MPages(t *testing.T) {
 	}
 	// Single job: latency at 4G total must exceed the in-reach latency by
 	// a wide margin (IOTLB misses add soft-IOMMU walks).
-	small, err := llLatencyPoint(mem.PageSize2M, ccip.VCUPI, 1, 64<<20, 2500)
+	s := NewSession(Options{})
+	small, err := s.llLatencyPoint(mem.PageSize2M, ccip.VCUPI, 1, 64<<20, 2500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := llLatencyPoint(mem.PageSize2M, ccip.VCUPI, 1, 4<<30, 2500)
+	big, err := s.llLatencyPoint(mem.PageSize2M, ccip.VCUPI, 1, 4<<30, 2500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +162,12 @@ func TestFig6CliffAt2MPages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	inReach, err := mbThroughputPoint(mem.PageSize2M, 4, 256<<20, false, sim.Millisecond)
+	s := NewSession(Options{})
+	inReach, err := s.mbThroughputPoint(mem.PageSize2M, 4, 256<<20, false, sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	beyond, err := mbThroughputPoint(mem.PageSize2M, 4, 4<<30, false, sim.Millisecond)
+	beyond, err := s.mbThroughputPoint(mem.PageSize2M, 4, 4<<30, false, sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +180,12 @@ func TestTable4MBHalfShare(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	standalone, err := table4MBThroughput("", 0, sim.Millisecond, 2<<20)
+	s := NewSession(Options{})
+	standalone, err := s.table4MBThroughput("", 0, sim.Millisecond, 2<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, err := table4MBThroughput("MB", 1, sim.Millisecond, 2<<20)
+	co, err := s.table4MBThroughput("MB", 1, sim.Millisecond, 2<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +199,7 @@ func TestTable4MBHalfShare(t *testing.T) {
 func TestRunRendersAblations(t *testing.T) {
 	var buf bytes.Buffer
 	for _, id := range []string{"timing", "muxarity"} {
-		if err := Run(id, ScaleQuick, &buf); err != nil {
+		if _, err := Run(id, Options{}, &buf); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -12,11 +12,11 @@ import (
 // homogeneous configurations — eight instances of the same accelerator run
 // concurrently and the normalized throughput range ((max−min)/mean) is
 // reported per benchmark.
-func Table3(scale Scale) (*Table, error) {
+func (s *Session) Table3() (*Table, error) {
 	apps := []string{"AES", "MD5", "SHA", "FIR", "GRN", "RSD", "SW", "GAU", "GRS", "SBL", "SSSP", "BTC", "MB", "LL"}
 	size := uint64(1 << 20)
 	window := 2 * sim.Millisecond
-	if scale == ScaleFull {
+	if s.o.Scale == ScaleFull {
 		size = 4 << 20
 		window = 10 * sim.Millisecond
 	}
@@ -27,8 +27,8 @@ func Table3(scale Scale) (*Table, error) {
 		Notes:  []string{"Paper reports ranges of ~1e-4 to ~6e-2: every accelerator gets ~1/8 of aggregate throughput."},
 	}
 	spreads := make([]float64, len(apps))
-	err := Points(len(apps), func(i int) error {
-		spread, err := table3Point(apps[i], size, window)
+	err := s.points(len(apps), func(i int) error {
+		spread, err := s.table3Point(apps[i], size, window)
 		if err != nil {
 			return fmt.Errorf("%s: %w", apps[i], err)
 		}
@@ -44,19 +44,19 @@ func Table3(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-func table3Point(app string, size uint64, window sim.Time) (float64, error) {
+func (s *Session) table3Point(app string, size uint64, window sim.Time) (float64, error) {
 	// All eight instances run the identical job (same seed, Stride 0) so
 	// any throughput spread comes from the multiplexer, not the inputs.
-	// Provisioning lives inside the warm template (see warmSpatialJobs).
-	h, tenants, jobs, err := warmSpatialJobs(optimusEight(app), 8,
+	// Provisioning lives inside the warm template (see spatialJobs).
+	h, jobs, err := s.spatialJobs(optimusEight(app), 8,
 		jobSpec{App: app, Size: size, Seed: 1, Stride: 0})
 	if err != nil {
 		return 0, err
 	}
 	totals := make([]func() uint64, 8)
 	deadline := h.K.Now() + window
-	for i, tn := range tenants {
-		j := jobs[i]
+	for i, j := range jobs {
+		tn := j.dev
 		if j.work == 0 {
 			if err := tn.dev.Start(); err != nil {
 				return 0, err
@@ -74,7 +74,7 @@ func table3Point(app string, size uint64, window sim.Time) (float64, error) {
 	var min, max, sum float64
 	min = 1e300
 	for i := range totals {
-		if err := tenants[i].dev.VAccel().Failed(); err != nil {
+		if err := jobs[i].dev.dev.VAccel().Failed(); err != nil {
 			return 0, err
 		}
 		v := float64(totals[i]())
@@ -94,11 +94,11 @@ func table3Point(app string, size uint64, window sim.Time) (float64, error) {
 
 // Table4 reproduces Table 4: MemBench's throughput when co-located with a
 // second active accelerator, normalized to a standalone MemBench.
-func Table4(scale Scale) (*Table, error) {
+func (s *Session) Table4() (*Table, error) {
 	others := []string{"AES", "MD5", "SHA", "FIR", "GRN", "RSD", "SW", "GAU", "GRS", "SBL", "SSSP", "BTC", "MB", "LL"}
 	size := uint64(2 << 20)
 	window := 2 * sim.Millisecond
-	if scale == ScaleFull {
+	if s.o.Scale == ScaleFull {
 		size = 8 << 20
 		window = 8 * sim.Millisecond
 	}
@@ -111,14 +111,14 @@ func Table4(scale Scale) (*Table, error) {
 			"Deviation from the paper: our MD5 model is compute-bound (as Figure 7 requires), so MB keeps more bandwidth than the paper's 0.50x here.",
 		},
 	}
-	standalone, err := table4MBThroughput("", 0, window, size)
+	standalone, err := s.table4MBThroughput("", 0, window, size)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("(standalone)", fmtGBps(standalone), "1.00x")
 	colocated := make([]float64, len(others))
-	err = Points(len(others), func(i int) error {
-		got, err := table4MBThroughput(others[i], 1, window, size)
+	err = s.points(len(others), func(i int) error {
+		got, err := s.table4MBThroughput(others[i], 1, window, size)
 		if err != nil {
 			return fmt.Errorf("%s: %w", others[i], err)
 		}
@@ -136,12 +136,12 @@ func Table4(scale Scale) (*Table, error) {
 
 // table4MBThroughput measures MB-on-slot-0's byte rate, optionally with a
 // co-located app on slot 1.
-func table4MBThroughput(other string, otherSlot int, window sim.Time, size uint64) (float64, error) {
+func (s *Session) table4MBThroughput(other string, otherSlot int, window sim.Time, size uint64) (float64, error) {
 	apps := []string{"MB", "MB"}
 	if other != "" {
 		apps[otherSlot] = other
 	}
-	h, err := hv.New(hv.Config{Accels: apps})
+	h, err := s.platform(hv.Config{Accels: apps})
 	if err != nil {
 		return 0, err
 	}
@@ -149,7 +149,7 @@ func table4MBThroughput(other string, otherSlot int, window sim.Time, size uint6
 	if err != nil {
 		return 0, err
 	}
-	jmb, err := provisionJob(mb, "MB", 16<<20, 42)
+	jmb, err := s.provisionJob(mb, "MB", 16<<20, 42)
 	if err != nil {
 		return 0, err
 	}
@@ -163,7 +163,7 @@ func table4MBThroughput(other string, otherSlot int, window sim.Time, size uint6
 		if err != nil {
 			return 0, err
 		}
-		j, err := provisionJob(tn, other, size, 7)
+		j, err := s.provisionJob(tn, other, size, 7)
 		if err != nil {
 			return 0, err
 		}
@@ -187,10 +187,10 @@ func table4MBThroughput(other string, otherSlot int, window sim.Time, size uint6
 // SchedFairness reproduces §6.8: the software scheduler's enforcement of
 // round-robin, weighted, and priority policies, reporting each virtual
 // accelerator's measured occupancy share against the policy's expectation.
-func SchedFairness(scale Scale) (*Table, error) {
+func (s *Session) SchedFairness() (*Table, error) {
 	slice := 500 * sim.Microsecond
 	window := 120 * sim.Millisecond
-	if scale == ScaleFull {
+	if s.o.Scale == ScaleFull {
 		slice = 10 * sim.Millisecond
 		window = 800 * sim.Millisecond
 	}
@@ -213,10 +213,10 @@ func SchedFairness(scale Scale) (*Table, error) {
 		{hv.PolicyPriority, "priority", nil, []int{5, 5, 1}, []float64{0.5, 0.5, 0}},
 	}
 	specRows := make([][][]string, len(specs))
-	err := Points(len(specs), func(si int) error {
+	err := s.points(len(specs), func(si int) error {
 		sp := specs[si]
 		n := len(sp.expected)
-		h, err := hv.New(hv.Config{Accels: []string{"MB"}, TimeSlice: slice})
+		h, err := s.platform(hv.Config{Accels: []string{"MB"}, TimeSlice: slice})
 		if err != nil {
 			return err
 		}

@@ -16,9 +16,9 @@ import (
 // The paper uses 800K vertices and 3.2M–51.2M edges; the simulated graphs
 // are scaled down (same 4×–64× edge/vertex ratios) to keep the cache-line-
 // granular shared-memory simulation tractable.
-func Fig1(scale Scale) (*Table, error) {
+func (s *Session) Fig1() (*Table, error) {
 	vertices := 12500
-	if scale == ScaleFull {
+	if s.o.Scale == ScaleFull {
 		vertices = 100000
 	}
 	ratios := []int{4, 8, 16, 32, 64}
@@ -35,15 +35,15 @@ func Fig1(scale Scale) (*Table, error) {
 	}
 
 	rows := make([][]string, len(ratios))
-	err := Points(len(ratios), func(i int) error {
+	err := s.points(len(ratios), func(i int) error {
 		edges := vertices * ratios[i]
-		g := genGraph(vertices, edges, 0xF16)
+		g := s.graph(vertices, edges, 0xF16)
 
-		smNative, err := runSharedSSSP(g, false)
+		smNative, err := s.runSharedSSSP(g, false)
 		if err != nil {
 			return err
 		}
-		smVirt, err := runSharedSSSP(g, true)
+		smVirt, err := s.runSharedSSSP(g, true)
 		if err != nil {
 			return err
 		}
@@ -78,8 +78,8 @@ func Fig1(scale Scale) (*Table, error) {
 // the control-plane operations (job setup MMIOs and page-registration
 // hypercalls) — the data plane is identical, which is the point of the
 // shared-memory model.
-func runSharedSSSP(g *graph.CSR, virtualized bool) (sim.Time, error) {
-	h, err := hv.New(hv.Config{Accels: []string{"SSSP"}, Mode: hv.ModePassThrough})
+func (s *Session) runSharedSSSP(g *graph.CSR, virtualized bool) (sim.Time, error) {
+	h, err := s.platform(hv.Config{Accels: []string{"SSSP"}, Mode: hv.ModePassThrough})
 	if err != nil {
 		return 0, err
 	}

@@ -22,9 +22,9 @@ func optimusEight(app string) hv.Config {
 
 // Fig4a reproduces Figure 4a: LinkedList latency under OPTIMUS normalized
 // to pass-through, on the UPI-only and PCIe-only channels.
-func Fig4a(scale Scale) (*Table, error) {
+func (s *Session) Fig4a() (*Table, error) {
 	nodes := 3000
-	if scale == ScaleFull {
+	if s.o.Scale == ScaleFull {
 		nodes = 20000
 	}
 	t := &Table{
@@ -37,12 +37,12 @@ func Fig4a(scale Scale) (*Table, error) {
 	// One point per (channel, config) pair; both configs of a channel are
 	// needed for its normalized column, so rows assemble after the sweep.
 	lats := make([]sim.Time, 2*len(channels))
-	err := grid(len(channels), 2, func(r, c int) error {
+	err := s.grid(len(channels), 2, func(r, c int) error {
 		cfg := optimusEight("LL")
 		if c == 0 {
 			cfg = hv.Config{Accels: []string{"LL"}, Mode: hv.ModePassThrough}
 		}
-		lat, err := llMeanLatency(cfg, channels[r], nodes, 0)
+		lat, err := s.llMeanLatency(cfg, channels[r], nodes, 0)
 		if err != nil {
 			return err
 		}
@@ -66,8 +66,8 @@ func Fig4a(scale Scale) (*Table, error) {
 
 // llMeanLatency runs one LinkedList walk on slot 0 and returns the mean
 // DMA latency observed by the accelerator.
-func llMeanLatency(cfg hv.Config, ch ccip.Channel, nodes int, wsBytes uint64) (sim.Time, error) {
-	h, err := hv.New(cfg)
+func (s *Session) llMeanLatency(cfg hv.Config, ch ccip.Channel, nodes int, wsBytes uint64) (sim.Time, error) {
+	h, err := s.platform(cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -82,7 +82,10 @@ func llMeanLatency(cfg hv.Config, ch ccip.Channel, nodes int, wsBytes uint64) (s
 	if err != nil {
 		return 0, err
 	}
-	head, _ := buildGuestList(tn, buf, nodes, 1)
+	head, _, err := tn.dev.BuildList(buf, nodes, 1)
+	if err != nil {
+		return 0, err
+	}
 	tn.dev.RegWrite(accel.LLArgHead, head)
 	h.Phy(0).Accel.SetChannel(ch)
 	if err := tn.dev.Start(); err != nil {
@@ -96,10 +99,10 @@ func llMeanLatency(cfg hv.Config, ch ccip.Channel, nodes int, wsBytes uint64) (s
 
 // Fig4b reproduces Figure 4b: per-benchmark throughput under OPTIMUS
 // normalized to pass-through.
-func Fig4b(scale Scale) (*Table, error) {
+func (s *Session) Fig4b() (*Table, error) {
 	size := uint64(2 << 20)
 	window := 2 * sim.Millisecond
-	if scale == ScaleFull {
+	if s.o.Scale == ScaleFull {
 		size = 16 << 20
 		window = 10 * sim.Millisecond
 	}
@@ -111,7 +114,7 @@ func Fig4b(scale Scale) (*Table, error) {
 		Notes:  []string{"Paper: MemBench 90.1% (worst case; request every 2 tree cycles); real apps ≥92.7%."},
 	}
 	vals := make([][2]float64, len(apps))
-	err := grid(len(apps), 2, func(r, c int) error {
+	err := s.grid(len(apps), 2, func(r, c int) error {
 		app := apps[r]
 		cfg := optimusEight(app)
 		label := "OPTIMUS"
@@ -119,7 +122,7 @@ func Fig4b(scale Scale) (*Table, error) {
 			cfg = hv.Config{Accels: []string{app}, Mode: hv.ModePassThrough}
 			label = "PT"
 		}
-		v, err := singleJobThroughput(cfg, app, size, window)
+		v, err := s.singleJobThroughput(cfg, app, size, window)
 		if err != nil {
 			return fmt.Errorf("%s (%s): %w", app, label, err)
 		}
@@ -137,8 +140,8 @@ func Fig4b(scale Scale) (*Table, error) {
 }
 
 // singleJobThroughput measures one tenant's sustained work rate on slot 0.
-func singleJobThroughput(cfg hv.Config, app string, size uint64, window sim.Time) (float64, error) {
-	h, err := hv.New(cfg)
+func (s *Session) singleJobThroughput(cfg hv.Config, app string, size uint64, window sim.Time) (float64, error) {
+	h, err := s.platform(cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -146,7 +149,7 @@ func singleJobThroughput(cfg hv.Config, app string, size uint64, window sim.Time
 	if err != nil {
 		return 0, err
 	}
-	j, err := provisionJob(tn, app, size, 1)
+	j, err := s.provisionJob(tn, app, size, 1)
 	if err != nil {
 		return 0, err
 	}

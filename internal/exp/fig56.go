@@ -5,7 +5,6 @@ import (
 
 	"optimus/internal/accel"
 	"optimus/internal/ccip"
-	"optimus/internal/hv"
 	"optimus/internal/mem"
 	"optimus/internal/sim"
 )
@@ -27,10 +26,10 @@ func fig5WorkingSets(pageSize uint64, scale Scale) []uint64 {
 // Fig5 reproduces Figure 5: LinkedList average memory access latency as the
 // aggregate working set and the number of concurrent jobs grow, for the
 // given page size and pinned channel.
-func Fig5(pageSize uint64, ch ccip.Channel, scale Scale) (*Table, error) {
+func (s *Session) Fig5(pageSize uint64, ch ccip.Channel) (*Table, error) {
 	jobCounts := []int{1, 2, 4, 8}
 	nodes := 2500
-	if scale == ScaleFull {
+	if s.o.Scale == ScaleFull {
 		nodes = 12000
 	}
 	pageName := "2M"
@@ -51,13 +50,13 @@ func Fig5(pageSize uint64, ch ccip.Channel, scale Scale) (*Table, error) {
 			"Latency is flat while the working set fits the IOTLB reach (1 GB at 2M pages, 2 MB at 4K), then climbs as misses add soft-IOMMU walks.",
 		},
 	}
-	wss := fig5WorkingSets(pageSize, scale)
+	wss := fig5WorkingSets(pageSize, s.o.Scale)
 	cells := make([][]string, len(wss))
 	for i := range cells {
 		cells[i] = make([]string, len(jobCounts))
 	}
-	err := grid(len(wss), len(jobCounts), func(r, c int) error {
-		lat, err := llLatencyPoint(pageSize, ch, jobCounts[c], wss[r], nodes)
+	err := s.grid(len(wss), len(jobCounts), func(r, c int) error {
+		lat, err := s.llLatencyPoint(pageSize, ch, jobCounts[c], wss[r], nodes)
 		if err != nil {
 			return err
 		}
@@ -75,10 +74,10 @@ func Fig5(pageSize uint64, ch ccip.Channel, scale Scale) (*Table, error) {
 
 // llLatencyPoint runs n concurrent LinkedList walkers whose lists together
 // span ws bytes and returns the mean access latency across them.
-func llLatencyPoint(pageSize uint64, ch ccip.Channel, n int, ws uint64, nodes int) (sim.Time, error) {
+func (s *Session) llLatencyPoint(pageSize uint64, ch ccip.Channel, n int, ws uint64, nodes int) (sim.Time, error) {
 	cfg := optimusEight("LL")
 	cfg.PageSize = pageSize
-	h, tenants, err := spatialPlatformSlots(cfg, n)
+	h, tenants, err := s.spatialPlatform(cfg, n)
 	if err != nil {
 		return 0, err
 	}
@@ -95,7 +94,10 @@ func llLatencyPoint(pageSize uint64, ch ccip.Channel, n int, ws uint64, nodes in
 		if err != nil {
 			return 0, err
 		}
-		head, _ := buildGuestList(tn, buf, nodes, uint64(i)+3)
+		head, _, err := tn.dev.BuildList(buf, nodes, uint64(i)+3)
+		if err != nil {
+			return 0, err
+		}
 		tn.dev.RegWrite(accel.LLArgHead, head)
 		h.Phy(i).Accel.SetChannel(ch)
 		if err := tn.dev.Start(); err != nil {
@@ -117,18 +119,12 @@ func llLatencyPoint(pageSize uint64, ch ccip.Channel, n int, ws uint64, nodes in
 	return total / sim.Time(count), nil
 }
 
-// spatialPlatformSlots builds the 8-slot platform but provisions only the
-// first n tenants, cloning from a warmed template when enabled (warm.go).
-func spatialPlatformSlots(cfg hv.Config, n int) (*hv.Hypervisor, []*tenant, error) {
-	return warmSpatialPlatform(cfg, n)
-}
-
 // Fig6 reproduces Figure 6: MemBench aggregate throughput versus aggregate
 // working set and job count, for reads or writes, at the given page size.
-func Fig6(pageSize uint64, writes bool, scale Scale) (*Table, error) {
+func (s *Session) Fig6(pageSize uint64, writes bool) (*Table, error) {
 	jobCounts := []int{1, 2, 4, 8}
 	window := sim.Time(1500 * sim.Microsecond)
-	if scale == ScaleFull {
+	if s.o.Scale == ScaleFull {
 		window = 5 * sim.Millisecond
 	}
 	kind := "read"
@@ -153,13 +149,13 @@ func Fig6(pageSize uint64, writes bool, scale Scale) (*Table, error) {
 			"Throughput drops once the aggregate working set exceeds the IOTLB reach; job count does not reduce aggregate throughput.",
 		},
 	}
-	wss := fig5WorkingSets(pageSize, scale)
+	wss := fig5WorkingSets(pageSize, s.o.Scale)
 	cells := make([][]string, len(wss))
 	for i := range cells {
 		cells[i] = make([]string, len(jobCounts))
 	}
-	err := grid(len(wss), len(jobCounts), func(r, c int) error {
-		gbps, err := mbThroughputPoint(pageSize, jobCounts[c], wss[r], writes, window)
+	err := s.grid(len(wss), len(jobCounts), func(r, c int) error {
+		gbps, err := s.mbThroughputPoint(pageSize, jobCounts[c], wss[r], writes, window)
 		if err != nil {
 			return err
 		}
@@ -177,10 +173,10 @@ func Fig6(pageSize uint64, writes bool, scale Scale) (*Table, error) {
 
 // mbThroughputPoint runs n MemBench instances over ws aggregate bytes for
 // the window and returns platform-level aggregate GB/s.
-func mbThroughputPoint(pageSize uint64, n int, ws uint64, writes bool, window sim.Time) (float64, error) {
+func (s *Session) mbThroughputPoint(pageSize uint64, n int, ws uint64, writes bool, window sim.Time) (float64, error) {
 	cfg := optimusEight("MB")
 	cfg.PageSize = pageSize
-	h, tenants, err := spatialPlatformSlots(cfg, n)
+	h, tenants, err := s.spatialPlatform(cfg, n)
 	if err != nil {
 		return 0, err
 	}

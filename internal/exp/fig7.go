@@ -10,11 +10,11 @@ import (
 // applications as the number of concurrent acceleration jobs grows,
 // normalized to a single job. GAU, GRS, SBL, and SSSP saturate the
 // interconnect beyond four jobs; the others scale roughly linearly.
-func Fig7(scale Scale) (*Table, error) {
+func (s *Session) Fig7() (*Table, error) {
 	jobCounts := []int{1, 2, 4, 8}
 	size := uint64(2 << 20)
 	window := 2 * sim.Millisecond
-	if scale == ScaleFull {
+	if s.o.Scale == ScaleFull {
 		size = 8 << 20
 		window = 8 * sim.Millisecond
 	}
@@ -37,8 +37,8 @@ func Fig7(scale Scale) (*Table, error) {
 	for i := range aggs {
 		aggs[i] = make([]float64, len(jobCounts))
 	}
-	err := grid(len(apps), len(jobCounts), func(r, c int) error {
-		agg, err := fig7Point(apps[r], jobCounts[c], size, window)
+	err := s.grid(len(apps), len(jobCounts), func(r, c int) error {
+		agg, err := s.fig7Point(apps[r], jobCounts[c], size, window)
 		if err != nil {
 			return fmt.Errorf("%s x%d: %w", apps[r], jobCounts[c], err)
 		}
@@ -61,10 +61,10 @@ func Fig7(scale Scale) (*Table, error) {
 
 // fig7Point measures aggregate work/second of n concurrent instances.
 // Tenant i's job uses seed i+1; provisioning lives inside the warm
-// template (see warmSpatialJobs), so every point starts from a CoW clone
-// of an already-provisioned platform.
-func fig7Point(app string, n int, size uint64, window sim.Time) (float64, error) {
-	h, _, jobs, err := warmSpatialJobs(optimusEight(app), n,
+// template (see spatialJobs), so every point starts from a CoW clone of an
+// already-provisioned platform.
+func (s *Session) fig7Point(app string, n int, size uint64, window sim.Time) (float64, error) {
+	h, jobs, err := s.spatialJobs(optimusEight(app), n,
 		jobSpec{App: app, Size: size, Seed: 1, Stride: 1})
 	if err != nil {
 		return 0, err

@@ -15,11 +15,11 @@ import (
 // preemption occurs at a fixed interval regardless of the queue depth.
 // "MD5 worst case" pads the preemption state with the benchmark's full
 // on-FPGA resource footprint (§6.6's upper-bound estimate).
-func Fig8(scale Scale) (*Table, error) {
+func (s *Session) Fig8() (*Table, error) {
 	jobCounts := []int{1, 2, 4, 8, 16}
 	slice := 10 * sim.Millisecond
 	slicesPerJob := 2
-	if scale == ScaleQuick {
+	if s.o.Scale == ScaleQuick {
 		slice = 2 * sim.Millisecond
 		slicesPerJob = 2
 	}
@@ -51,10 +51,10 @@ func Fig8(scale Scale) (*Table, error) {
 	for i := range thrs {
 		thrs[i] = make([]float64, len(jobCounts))
 	}
-	err := grid(len(workloads), len(jobCounts), func(r, c int) error {
+	err := s.grid(len(workloads), len(jobCounts), func(r, c int) error {
 		w := workloads[r]
 		n := jobCounts[c]
-		thr, err := fig8Point(w.app, w.pad, n, slice, sim.Time(16*slicesPerJob)*slice)
+		thr, err := s.fig8Point(w.app, w.pad, n, slice, sim.Time(16*slicesPerJob)*slice)
 		if err != nil {
 			return fmt.Errorf("%s x%d: %w", w.name, n, err)
 		}
@@ -77,8 +77,8 @@ func Fig8(scale Scale) (*Table, error) {
 
 // fig8Point runs n virtual accelerators of app on one physical slot for
 // the window and returns aggregate work/second.
-func fig8Point(app string, statePad int, n int, slice, window sim.Time) (float64, error) {
-	h, err := hv.New(hv.Config{
+func (s *Session) fig8Point(app string, statePad int, n int, slice, window sim.Time) (float64, error) {
+	h, err := s.platform(hv.Config{
 		Accels:    []string{app},
 		TimeSlice: slice,
 	})
@@ -104,7 +104,10 @@ func fig8Point(app string, statePad int, n int, slice, window sim.Time) (float64
 			if err != nil {
 				return 0, err
 			}
-			head, _ := buildGuestList(tn, buf, nodes, uint64(i)+5)
+			head, _, err := tn.dev.BuildList(buf, nodes, uint64(i)+5)
+			if err != nil {
+				return 0, err
+			}
 			tn.dev.RegWrite(accel.LLArgHead, head)
 		} else {
 			buf, err := tn.dev.AllocDMA(16 << 20)

@@ -9,46 +9,32 @@ import (
 // Every figure in §6 is a sweep over independent points — each point builds
 // a fresh platform around its own private sim.Kernel, so points share no
 // simulation state and can execute on separate goroutines without touching
-// the determinism argument (each kernel is still single-threaded). Points
-// is the fan-out primitive every runner uses; SetParallelism bounds the
-// worker pool (the CLI's -par flag, exp.RunParallel).
+// the determinism argument (each kernel is still single-threaded). points
+// is the fan-out primitive every runner uses; Options.Par bounds the
+// worker pool (the CLI's -par flag).
 
-// parallelism holds the configured worker bound; 0 means "use
-// runtime.GOMAXPROCS(0)".
-var parallelism atomic.Int64
-
-// SetParallelism bounds the number of sweep points executed concurrently.
-// n <= 0 restores the default (GOMAXPROCS). 1 forces fully sequential
-// execution — exactly the pre-pool behavior.
-func SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	parallelism.Store(int64(n))
-}
-
-// Parallelism reports the effective worker bound.
-func Parallelism() int {
-	if n := parallelism.Load(); n > 0 {
-		return int(n)
+// workers reports the session's effective worker bound.
+func (s *Session) workers() int {
+	if s.o.Par > 0 {
+		return s.o.Par
 	}
 	return runtime.GOMAXPROCS(0)
 }
 
-// Points runs f(0), ..., f(n-1) across a bounded worker pool and returns
+// points runs f(0), ..., f(n-1) across a bounded worker pool and returns
 // the lowest-index error, if any. Each call to f must write its result into
 // its own index of a caller-owned slice — results are therefore collected
 // in declaration order no matter which worker ran which point, which keeps
 // rendered tables byte-identical at any parallelism level.
 //
 // f must not touch state shared with other points except through
-// single-flight caches (genGraph, rsCode); every worker runs points to
-// completion, so f may freely own goroutine-local simulations.
-func Points(n int, f func(i int) error) error {
+// single-flight caches (the session's memo, rsCode); every worker runs
+// points to completion, so f may freely own goroutine-local simulations.
+func (s *Session) points(n int, f func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers := Parallelism()
+	workers := s.workers()
 	if workers > n {
 		workers = n
 	}
@@ -87,10 +73,10 @@ func Points(n int, f func(i int) error) error {
 }
 
 // grid linearizes a 2D sweep: it runs f for every (row, col) pair of an
-// rows×cols grid through Points, so row-major tables parallelize without
+// rows×cols grid through points, so row-major tables parallelize without
 // each runner repeating the index arithmetic.
-func grid(rows, cols int, f func(r, c int) error) error {
-	return Points(rows*cols, func(i int) error {
+func (s *Session) grid(rows, cols int, f func(r, c int) error) error {
+	return s.points(rows*cols, func(i int) error {
 		return f(i/cols, i%cols)
 	})
 }

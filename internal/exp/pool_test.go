@@ -7,94 +7,83 @@ import (
 	"sync"
 	"testing"
 
+	"optimus/internal/algo/graph"
 	"optimus/internal/ccip"
-	"optimus/internal/hv"
 	"optimus/internal/mem"
 	"optimus/internal/obs"
 	"optimus/internal/sim"
 )
 
-// withParallelism runs body with the pool bound set to n, restoring the
-// default afterwards so tests don't leak configuration.
-func withParallelism(t *testing.T, n int, body func()) {
-	t.Helper()
-	SetParallelism(n)
-	defer SetParallelism(0)
-	body()
-}
-
 func TestPointsCollectsInOrder(t *testing.T) {
 	for _, par := range []int{1, 8} {
-		withParallelism(t, par, func() {
-			got := make([]int, 40)
-			if err := Points(40, func(i int) error {
-				got[i] = i * i
-				return nil
-			}); err != nil {
-				t.Fatal(err)
+		got := make([]int, 40)
+		if err := NewSession(Options{Par: par}).points(40, func(i int) error {
+			got[i] = i * i
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range got {
+			if v != i*i {
+				t.Fatalf("par=%d: slot %d = %d", par, i, v)
 			}
-			for i, v := range got {
-				if v != i*i {
-					t.Fatalf("par=%d: slot %d = %d", par, i, v)
-				}
-			}
-		})
+		}
 	}
 }
 
 func TestPointsLowestIndexErrorWins(t *testing.T) {
 	errA := errors.New("a")
 	for _, par := range []int{1, 8} {
-		withParallelism(t, par, func() {
-			err := Points(16, func(i int) error {
-				switch i {
-				case 3:
-					return errA
-				case 11:
-					return errors.New("b")
-				}
-				return nil
-			})
-			if err != errA {
-				t.Fatalf("par=%d: err = %v, want lowest-index error", par, err)
+		err := NewSession(Options{Par: par}).points(16, func(i int) error {
+			switch i {
+			case 3:
+				return errA
+			case 11:
+				return errors.New("b")
 			}
+			return nil
 		})
+		if err != errA {
+			t.Fatalf("par=%d: err = %v, want lowest-index error", par, err)
+		}
 	}
 }
 
 func TestPointsZeroAndParallelismBounds(t *testing.T) {
-	if err := Points(0, func(int) error { t.Fatal("called"); return nil }); err != nil {
+	if err := NewSession(Options{}).points(0, func(int) error { t.Fatal("called"); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	SetParallelism(-5)
-	if Parallelism() < 1 {
-		t.Fatalf("Parallelism() = %d", Parallelism())
+	if w := NewSession(Options{Par: -5}).workers(); w < 1 {
+		t.Fatalf("workers() = %d with Par -5", w)
 	}
-	SetParallelism(3)
-	if Parallelism() != 3 {
-		t.Fatalf("Parallelism() = %d, want 3", Parallelism())
+	if w := NewSession(Options{Par: 3}).workers(); w != 3 {
+		t.Fatalf("workers() = %d, want 3", w)
 	}
-	SetParallelism(0)
 }
 
 // TestGenGraphSingleFlight asserts concurrent requests for the same graph
-// share one generation (same pointer back) and nothing races.
+// within one session share one generation (same pointer back), that
+// another session generates its own, and that nothing races.
 func TestGenGraphSingleFlight(t *testing.T) {
 	const workers = 16
-	got := make([]interface{}, workers)
+	s := NewSession(Options{})
+	got := make([]*graph.CSR, workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			got[w] = genGraph(500, 2000, 0xABCD)
+			got[w] = s.graph(500, 2000, 0xABCD)
 		}()
 	}
 	wg.Wait()
 	for w := 1; w < workers; w++ {
 		if got[w] != got[0] {
-			t.Fatal("same-key genGraph returned distinct graphs")
+			t.Fatal("same-key graph returned distinct graphs")
 		}
+	}
+	if NewSession(Options{}).graph(500, 2000, 0xABCD) == got[0] {
+		t.Fatal("a second session shared the first session's cache")
 	}
 }
 
@@ -121,118 +110,111 @@ func TestRSCodeConcurrentEncode(t *testing.T) {
 	wg.Wait()
 }
 
-// TestParallelDeterminism is the regression gate for the sweep pool: a
-// quick-scale fig4a + fig5 + fig6 run must render byte-identical tables
-// whether points execute sequentially or on 8 workers. Every point owns a
-// private kernel and platform, so parallelism must not be observable in
-// results. Fig4a covers the full multiplexer-tree request path (auditor
-// rewrite, arbitration, credits, pooled completion records) so pooling
-// regressions that perturb event order show up here.
+// render4a56 renders the quick-scale fig4a + fig5 + fig6 determinism
+// workload under o. Fig4a covers the full multiplexer-tree request path
+// (auditor rewrite, arbitration, credits, pooled completion records), so
+// pooling regressions that perturb event order show up here.
+func render4a56(t *testing.T, o Options) string {
+	t.Helper()
+	s := NewSession(o)
+	var buf bytes.Buffer
+	for _, run := range []func() (*Table, error){
+		s.Fig4a,
+		func() (*Table, error) { return s.Fig5(mem.PageSize4K, ccip.VCUPI) },
+		func() (*Table, error) { return s.Fig6(mem.PageSize4K, false) },
+	} {
+		tab, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab.Render(&buf)
+	}
+	return buf.String()
+}
+
+// TestParallelDeterminism is the regression gate for the sweep pool and
+// the run options: the fig4a + fig5 + fig6 workload must render
+// byte-identical tables whether points execute sequentially or on 8
+// workers, on cloned or from-scratch platforms, and with the telemetry
+// engine armed or not. Every point owns a private kernel and platform and
+// every run owns its options, so each variant is an independent parallel
+// subtest compared against the sequential cloned reference.
 func TestParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	render := func(par int) string {
-		var buf bytes.Buffer
-		withParallelism(t, par, func() {
-			tab4, err := Fig4a(ScaleQuick)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tab4.Render(&buf)
-			tab5, err := Fig5(mem.PageSize4K, ccip.VCUPI, ScaleQuick)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tab5.Render(&buf)
-			tab6, err := Fig6(mem.PageSize4K, false, ScaleQuick)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tab6.Render(&buf)
-		})
-		return buf.String()
+	t.Parallel()
+	// A small trace ring forces wraparound, exercising the overwrite path
+	// mid-experiment. The sampler hooks the kernel's clock advance (an
+	// epoch every 50 µs of simulated time on every kernel) and the
+	// profiler is fed from every trace emit, so the sampled variants prove
+	// epochs never perturb event order or results.
+	traced := func() Observe { return Observe{Collector: obs.NewCollector(), TraceCap: 256} }
+	sampled := func() Observe {
+		o := traced()
+		o.Sample = &obs.SampleConfig{Window: 50 * sim.Microsecond}
+		o.Profile = true
+		return o
 	}
-	seq := render(1)
-	par := render(8)
-	if seq != par {
-		t.Fatalf("tables differ between -par 1 and -par 8:\n--- par=1 ---\n%s\n--- par=8 ---\n%s", seq, par)
+	variants := []struct {
+		name string
+		o    Options
+	}{
+		{"par1", Options{Par: 1}},
+		{"par8", Options{Par: 8}},
+		{"fresh-par1", Options{Par: 1, Fresh: true}},
+		{"fresh-par8", Options{Par: 8, Fresh: true}},
+		{"traced-par8", Options{Par: 8, Observe: traced()}},
+		{"sampled-par1", Options{Par: 1, Observe: sampled()}},
+		{"sampled-par8", Options{Par: 8, Observe: sampled()}},
 	}
-	if len(seq) == 0 {
+	out := make([]string, len(variants))
+	t.Run("variants", func(t *testing.T) {
+		for i, v := range variants {
+			t.Run(v.name, func(t *testing.T) {
+				t.Parallel()
+				out[i] = render4a56(t, v.o)
+			})
+		}
+	})
+	if out[0] == "" {
 		t.Fatal("empty render")
 	}
-
-	// Warm-platform cloning must be invisible too: the renders above used
-	// cloned platforms (cloning defaults on); re-render with every point
-	// built from scratch and require byte-identical tables, at both
-	// parallelism levels.
-	SetCloning(false)
-	freshSeq := render(1)
-	freshPar := render(8)
-	SetCloning(true)
-	if freshSeq != seq {
-		t.Fatalf("tables differ between cloned and from-scratch platforms:\n--- clone ---\n%s\n--- fresh ---\n%s", seq, freshSeq)
-	}
-	if freshPar != seq {
-		t.Fatal("from-scratch render differs at par 8")
-	}
-
-	// Tracing must be invisible to results: arm auto-observation so every
-	// platform built by the sweep gets a private tracer ring and metrics
-	// registry, then re-render in parallel. A small ring forces wraparound,
-	// exercising the overwrite path mid-experiment.
-	coll := obs.NewCollector()
-	hv.ObserveAll(coll, 256)
-	defer hv.ObserveAll(nil, 0)
-	traced := render(8)
-	if traced != seq {
-		t.Fatalf("tables differ with tracing enabled:\n--- off ---\n%s\n--- on ---\n%s", seq, traced)
-	}
-	if len(coll.Platforms()) == 0 {
-		t.Fatal("auto-observe collected no platforms")
-	}
-
-	// The full telemetry engine must be invisible too: arm the time-series
-	// sampler (epoch hook firing every 50 µs of simulated time on every
-	// kernel) and the utilization profiler (fed from every trace emit), then
-	// re-render at both parallelism levels. The sampler hooks the kernel's
-	// clock advance, so this is the gate proving epochs never perturb event
-	// order or results.
-	hv.ObserveAll(coll, 256)
-	hv.SampleAll(&obs.SampleConfig{Window: 50 * sim.Microsecond})
-	hv.ProfileAll(true)
-	defer func() { hv.SampleAll(nil); hv.ProfileAll(false) }()
-	sampledSeq := render(1)
-	sampledPar := render(8)
-	if sampledSeq != seq {
-		t.Fatalf("tables differ with sampling+profiling enabled:\n--- off ---\n%s\n--- on ---\n%s", seq, sampledSeq)
-	}
-	if sampledPar != seq {
-		t.Fatal("sampled render differs at par 8")
-	}
-	sampled := 0
-	for _, p := range coll.Platforms() {
-		if p.Sampler != nil && p.Sampler.Fired() > 0 {
-			sampled++
+	for i, v := range variants {
+		if out[i] != out[0] {
+			t.Errorf("%s tables differ from par1:\n--- par1 ---\n%s\n--- %s ---\n%s", v.name, out[0], v.name, out[i])
 		}
-	}
-	if sampled == 0 {
-		t.Fatal("no platform sampled any window")
+		coll := v.o.Observe.Collector
+		if coll == nil {
+			continue
+		}
+		if len(coll.Platforms()) == 0 {
+			t.Errorf("%s: collector gathered no platforms", v.name)
+		}
+		if v.o.Observe.Sample != nil {
+			fired := false
+			for _, p := range coll.Platforms() {
+				fired = fired || (p.Sampler != nil && p.Sampler.Fired() > 0)
+			}
+			if !fired {
+				t.Errorf("%s: no platform sampled any window", v.name)
+			}
+		}
 	}
 }
 
 // TestRunParallelThreadsFlag exercises the CLI entry point end to end.
 func TestRunParallelThreadsFlag(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunParallel("table1", ScaleQuick, 4, &buf); err != nil {
+	res, err := Run("table1", Options{Par: 4}, &buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if Parallelism() != 4 {
-		t.Fatalf("Parallelism() = %d after RunParallel(par=4)", Parallelism())
-	}
-	SetParallelism(0)
 	if buf.Len() == 0 {
 		t.Fatal("no output")
+	}
+	if res.Serve != nil || res.ResidentBytes != 0 {
+		t.Fatalf("table1 acquired no platform, got result %+v", res)
 	}
 }
 
@@ -240,7 +222,7 @@ func TestRunParallelThreadsFlag(t *testing.T) {
 func TestGridCoversAllCells(t *testing.T) {
 	seen := make(map[string]bool)
 	var mu sync.Mutex
-	if err := grid(3, 5, func(r, c int) error {
+	if err := NewSession(Options{Par: 4}).grid(3, 5, func(r, c int) error {
 		mu.Lock()
 		seen[fmt.Sprintf("%d/%d", r, c)] = true
 		mu.Unlock()

@@ -9,8 +9,8 @@ import (
 	"optimus/internal/mem"
 )
 
-// Runner produces one or more artifact tables.
-type Runner func(Scale) ([]*Table, error)
+// Runner produces one or more artifact tables within a run's session.
+type Runner func(*Session) ([]*Table, error)
 
 func one(t *Table, err error) ([]*Table, error) {
 	if err != nil {
@@ -24,30 +24,27 @@ func one(t *Table, err error) ([]*Table, error) {
 //
 //optimus:global-ok experiment registry, sealed at init; drivers only read it
 var Experiments = map[string]Runner{
-	"fig1": func(s Scale) ([]*Table, error) { return one(Fig1(s)) },
-	"table1": func(Scale) ([]*Table, error) {
+	"fig1": func(s *Session) ([]*Table, error) { return one(s.Fig1()) },
+	"table1": func(*Session) ([]*Table, error) {
 		return []*Table{Table1()}, nil
 	},
-	"table2": func(Scale) ([]*Table, error) {
-		t, err := Table2()
-		return one(t, err)
-	},
-	"fig4": func(s Scale) ([]*Table, error) {
-		a, err := Fig4a(s)
+	"table2": func(*Session) ([]*Table, error) { return one(Table2()) },
+	"fig4": func(s *Session) ([]*Table, error) {
+		a, err := s.Fig4a()
 		if err != nil {
 			return nil, err
 		}
-		b, err := Fig4b(s)
+		b, err := s.Fig4b()
 		if err != nil {
 			return nil, err
 		}
 		return []*Table{a, b}, nil
 	},
-	"fig5": func(s Scale) ([]*Table, error) {
+	"fig5": func(s *Session) ([]*Table, error) {
 		var out []*Table
 		for _, ps := range []uint64{mem.PageSize2M, mem.PageSize4K} {
 			for _, ch := range []ccip.Channel{ccip.VCUPI, ccip.VCPCIe0} {
-				t, err := Fig5(ps, ch, s)
+				t, err := s.Fig5(ps, ch)
 				if err != nil {
 					return nil, err
 				}
@@ -56,11 +53,11 @@ var Experiments = map[string]Runner{
 		}
 		return out, nil
 	},
-	"fig6": func(s Scale) ([]*Table, error) {
+	"fig6": func(s *Session) ([]*Table, error) {
 		var out []*Table
 		for _, ps := range []uint64{mem.PageSize2M, mem.PageSize4K} {
 			for _, wr := range []bool{false, true} {
-				t, err := Fig6(ps, wr, s)
+				t, err := s.Fig6(ps, wr)
 				if err != nil {
 					return nil, err
 				}
@@ -69,20 +66,17 @@ var Experiments = map[string]Runner{
 		}
 		return out, nil
 	},
-	"fig7":   func(s Scale) ([]*Table, error) { return one(Fig7(s)) },
-	"fig8":   func(s Scale) ([]*Table, error) { return one(Fig8(s)) },
-	"table3": func(s Scale) ([]*Table, error) { return one(Table3(s)) },
-	"table4": func(s Scale) ([]*Table, error) { return one(Table4(s)) },
-	"sched":  func(s Scale) ([]*Table, error) { return one(SchedFairness(s)) },
-	"timing": func(Scale) ([]*Table, error) {
-		t, err := TimingAblation()
-		return one(t, err)
-	},
-	"serve":    func(s Scale) ([]*Table, error) { return one(ServeCurve(s)) },
-	"chaos":    func(s Scale) ([]*Table, error) { return one(ChaosSweep(s)) },
-	"guard":    func(s Scale) ([]*Table, error) { return one(GuardAblation(s)) },
-	"iommu":    func(s Scale) ([]*Table, error) { return one(IOMMUAblation(s)) },
-	"muxarity": func(s Scale) ([]*Table, error) { return one(MuxArityAblation(s)) },
+	"fig7":     func(s *Session) ([]*Table, error) { return one(s.Fig7()) },
+	"fig8":     func(s *Session) ([]*Table, error) { return one(s.Fig8()) },
+	"table3":   func(s *Session) ([]*Table, error) { return one(s.Table3()) },
+	"table4":   func(s *Session) ([]*Table, error) { return one(s.Table4()) },
+	"sched":    func(s *Session) ([]*Table, error) { return one(s.SchedFairness()) },
+	"timing":   func(*Session) ([]*Table, error) { return one(TimingAblation()) },
+	"serve":    func(s *Session) ([]*Table, error) { return one(s.ServeCurve()) },
+	"chaos":    func(s *Session) ([]*Table, error) { return one(s.ChaosSweep()) },
+	"guard":    func(s *Session) ([]*Table, error) { return one(s.GuardAblation()) },
+	"iommu":    func(s *Session) ([]*Table, error) { return one(s.IOMMUAblation()) },
+	"muxarity": func(s *Session) ([]*Table, error) { return one(s.MuxArityAblation()) },
 }
 
 // IDs returns the experiment identifiers, sorted.
@@ -95,29 +89,23 @@ func IDs() []string {
 	return out
 }
 
-// Run executes one experiment and renders its tables to w. Sweep points
-// fan out across the worker pool configured by SetParallelism; results are
-// collected in declaration order, so the rendered tables are byte-identical
-// at every parallelism level.
-func Run(id string, scale Scale, w io.Writer) error {
+// Run executes one experiment in a fresh session configured by o and
+// renders its tables to w. Sweep points fan out across o.Par workers;
+// results are collected in declaration order, so the rendered tables are
+// byte-identical at every parallelism level. The session (and its warm
+// templates) ends with the run.
+func Run(id string, o Options, w io.Writer) (Result, error) {
 	r, ok := Experiments[id]
 	if !ok {
-		return fmt.Errorf("exp: unknown experiment %q (have %v)", id, IDs())
+		return Result{}, fmt.Errorf("exp: unknown experiment %q (have %v)", id, IDs())
 	}
-	tables, err := r(scale)
+	s := NewSession(o)
+	tables, err := r(s)
 	if err != nil {
-		return err
+		return Result{}, err
 	}
 	for _, t := range tables {
 		t.Render(w)
 	}
-	return nil
-}
-
-// RunParallel sets the sweep parallelism (the CLI's -par flag) and then
-// executes one experiment. par <= 0 selects GOMAXPROCS; par == 1 restores
-// strictly sequential point execution.
-func RunParallel(id string, scale Scale, par int, w io.Writer) error {
-	SetParallelism(par)
-	return Run(id, scale, w)
+	return s.Result(), nil
 }

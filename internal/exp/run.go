@@ -31,33 +31,13 @@ func rsCode() *reedsolomon.Code {
 	return rsShared
 }
 
-// graphCache memoizes generated graphs across experiment points,
-// single-flight: concurrent sweep workers asking for the same graph share
-// one generation (the second waits on the entry's Once), and the map mutex
-// is never held during generation, so workers wanting *different* graphs
-// generate them concurrently.
-type graphEntry struct {
-	once sync.Once
-	g    *graph.CSR
-}
-
-var (
-	graphMu sync.Mutex
-	//optimus:global-ok single-flight cache of immutable graphs; graphMu guards the map, entries are write-once
-	graphCache = map[string]*graphEntry{}
-)
-
-func genGraph(vertices, edges int, seed uint64) *graph.CSR {
-	key := fmt.Sprintf("%d/%d/%d", vertices, edges, seed)
-	graphMu.Lock()
-	ent, ok := graphCache[key]
-	if !ok {
-		ent = &graphEntry{}
-		graphCache[key] = ent
-	}
-	graphMu.Unlock()
-	ent.once.Do(func() { ent.g = graph.Uniform(vertices, edges, 64, seed) })
-	return ent.g
+// graph returns the session's single-flight copy of a generated graph;
+// sweep workers asking for the same graph share one generation.
+func (s *Session) graph(vertices, edges int, seed uint64) *graph.CSR {
+	g, _ := memo(s, fmt.Sprintf("graph/%d/%d/%d", vertices, edges, seed), func() (*graph.CSR, error) {
+		return graph.Uniform(vertices, edges, 64, seed), nil
+	})
+	return g
 }
 
 // layoutSSSPJob writes g (CSR + descriptor + initialized distances) into
@@ -131,17 +111,6 @@ func layoutSSSPJob(tn *tenant, g *graph.CSR, source int) error {
 		return err
 	}
 	return d.RegWrite(accel.SSSPArgDesc, uint64(desc.Addr))
-}
-
-// spatialPlatform builds an OPTIMUS platform with n copies of app and one
-// tenant per slot, cloning from a warmed template when enabled (warm.go).
-func spatialPlatform(app string, n int, cfg hv.Config) (*hv.Hypervisor, []*tenant, error) {
-	apps := make([]string, n)
-	for i := range apps {
-		apps[i] = app
-	}
-	cfg.Accels = apps
-	return warmSpatialPlatform(cfg, n)
 }
 
 // runJobsToCompletion starts every job and runs the simulation until all

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 
 	"optimus/internal/accel"
 	"optimus/internal/guest"
@@ -120,100 +119,64 @@ func provisionServeMB(dev *guest.Device, seed uint64) error {
 	return nil
 }
 
-// buildServe assembles the serve platform: n home tenants on slots 0..n-1
-// plus one standby device per tenant on the shared spare slot n, every
-// device provisioned and state-buffered. Standbys live in their own process
-// (two devices must never share a process's DMA arena) inside the tenant's
-// VM, so their traffic bills to the right guest.
-func buildServe(cfg hv.Config, n int) (*hv.Hypervisor, []*tenant, []*guest.Device, error) {
-	done := beginSetup()
-	defer done()
-	h, tenants, err := buildSpatial(cfg, n)
+// servePlatform is the serve topology's harness state: the home tenants
+// and one standby device per tenant.
+type servePlatform struct {
+	tenants  []*tenant
+	standbys []*guest.Device
+}
+
+// buildServe provisions the serve topology: n home tenants on slots
+// 0..n-1 plus one standby device per tenant on the shared spare slot n,
+// every device provisioned and state-buffered. Standbys live in their own
+// process (two devices must never share a process's DMA arena) inside the
+// tenant's VM, so their traffic bills to the right guest.
+func buildServe(h *hv.Hypervisor, n int) (servePlatform, error) {
+	tenants, err := newTenants(h, n)
 	if err != nil {
-		return nil, nil, nil, err
+		return servePlatform{}, err
 	}
 	standbys := make([]*guest.Device, n)
 	for i, tn := range tenants {
 		if err := provisionServeMB(tn.dev, uint64(100+i)); err != nil {
-			return nil, nil, nil, err
+			return servePlatform{}, err
 		}
 		proc := tn.vm.NewProcess()
 		va, err := h.NewVAccel(proc, n)
 		if err != nil {
-			return nil, nil, nil, err
+			return servePlatform{}, err
 		}
 		dev, err := guest.Open(proc, va)
 		if err != nil {
-			return nil, nil, nil, err
+			return servePlatform{}, err
 		}
 		if err := provisionServeMB(dev, uint64(200+i)); err != nil {
-			return nil, nil, nil, err
+			return servePlatform{}, err
 		}
 		standbys[i] = dev
 	}
-	return h, tenants, standbys, nil
+	return servePlatform{tenants, standbys}, nil
 }
 
-// serveEntry is the single-flight warm-template cache entry for the serve
-// topology (see warmEntry; serve needs the standby devices too).
-type serveEntry struct {
-	once     sync.Once
-	h        *hv.Hypervisor
-	tenants  []*tenant
-	standbys []*guest.Device
-	err      error
-}
-
-var (
-	serveWarmMu sync.Mutex
-	//optimus:global-ok single-flight serve template cache; serveWarmMu guards the map, entries are write-once and templates are only ever read (see hv.Clone)
-	serveWarmCache = map[string]*serveEntry{}
-)
-
-// warmServePlatform returns a ready serve platform, cloned from a warmed
-// template when cloning is enabled (same bypass rules as
-// warmSpatialPlatform: explicit observability handles pin a config to one
-// platform and must not reach the cache).
-func warmServePlatform(cfg hv.Config, n int) (*hv.Hypervisor, []*tenant, []*guest.Device, error) {
-	if !Cloning() || cfg.Trace != nil || cfg.Metrics != nil || cfg.Sample != nil || cfg.Profile {
-		h, tenants, standbys, err := buildServe(cfg, n)
-		if err == nil {
-			recordPlatformMem(h)
-		}
-		return h, tenants, standbys, err
-	}
-	key := warmKey(cfg, n) + "|serve"
-	serveWarmMu.Lock()
-	ent, ok := serveWarmCache[key]
-	if !ok {
-		ent = &serveEntry{}
-		serveWarmCache[key] = ent
-	}
-	serveWarmMu.Unlock()
-	ent.once.Do(func() {
-		tcfg := cfg
-		tcfg.Unobserved = true // templates never register with the sweep collector
-		ent.h, ent.tenants, ent.standbys, ent.err = buildServe(tcfg, n)
-	})
-	if ent.err != nil {
-		return nil, nil, nil, ent.err
-	}
-	// cloneTemplate re-wraps the home tenants (alone on slots 0..n-1); the
-	// standbys all share the spare slot, in tenant order — hv.Clone rebuilds
-	// each slot's vaccels in attach order, so creation order recovers them.
-	h, tenants, err := cloneTemplate(ent.h, ent.tenants)
+// cloneServe re-wraps a serve template's handles around a clone: the home
+// tenants sit alone on slots 0..n-1 (cloneTenants); the standbys all share
+// the spare slot, in tenant order — hv.Clone rebuilds each slot's vaccels
+// in attach order, so creation order recovers them.
+func cloneServe(t servePlatform, h *hv.Hypervisor) (servePlatform, error) {
+	tenants, err := cloneTenants(t.tenants, h)
 	if err != nil {
-		return nil, nil, nil, err
+		return servePlatform{}, err
 	}
+	n := len(t.standbys)
 	vas := h.Phy(n).VAccels()
 	if len(vas) != n {
-		return nil, nil, nil, fmt.Errorf("exp: serve clone spare slot has %d vaccels, want %d", len(vas), n)
+		return servePlatform{}, fmt.Errorf("exp: serve clone spare slot has %d vaccels, want %d", len(vas), n)
 	}
 	standbys := make([]*guest.Device, n)
-	for i, tdev := range ent.standbys {
+	for i, tdev := range t.standbys {
 		standbys[i] = tdev.CloneFor(vas[i].Process(), vas[i])
 	}
-	return h, tenants, standbys, nil
+	return servePlatform{tenants, standbys}, nil
 }
 
 // ServeStreamPoint is one tenant's outcome at one load point.
@@ -258,19 +221,10 @@ type ServePoint struct {
 	Streams       []ServeStreamPoint `json:"streams"`
 }
 
-// Last-run serve curve, kept for the benchmark driver (ServeSummary) and
-// the -slo artifact writer (WriteServeJSON). Guarded because experiments
-// can in principle run concurrently with a reader.
-var (
-	serveMu sync.Mutex
-	//optimus:global-ok last-run serve artifact for the benchmark driver; serveMu-guarded, rewritten atomically per ServeCurve run
-	serveCurve []ServePoint
-)
-
 // runServePoint executes one sweep point and reduces it to a ServePoint.
-func runServePoint(mult float64, elastic bool, scale Scale) (ServePoint, error) {
+func (s *Session) runServePoint(mult float64, elastic bool) (ServePoint, error) {
 	horizon := 80 * sim.Millisecond
-	if scale == ScaleFull {
+	if s.o.Scale == ScaleFull {
 		horizon = 320 * sim.Millisecond
 	}
 	drain := 12 * sim.Millisecond
@@ -280,7 +234,9 @@ func runServePoint(mult float64, elastic bool, scale Scale) (ServePoint, error) 
 	for i := range accels {
 		accels[i] = "MB"
 	}
-	h, tenants, standbys, err := warmServePlatform(hv.Config{Accels: accels}, serveTenants)
+	h, plat, err := acquire(s, hv.Config{Accels: accels}, "serve",
+		func(h *hv.Hypervisor) (servePlatform, error) { return buildServe(h, serveTenants) },
+		cloneServe)
 	if err != nil {
 		return ServePoint{}, err
 	}
@@ -320,11 +276,11 @@ func runServePoint(mult float64, elastic bool, scale Scale) (ServePoint, error) 
 			sc.Elastic = serveElastic
 		}
 		st := eng.AddStream(sc)
-		st.AddWorker(&vaccelWorker{h: h, dev: tenants[i].dev})
+		st.AddWorker(&vaccelWorker{h: h, dev: plat.tenants[i].dev})
 		if elastic {
-			st.AddElasticWorker(&vaccelWorker{h: h, dev: standbys[i]})
+			st.AddElasticWorker(&vaccelWorker{h: h, dev: plat.standbys[i]})
 		}
-		st.SetTrace(h.Trace(), obs.VM(tenants[i].vm.ID))
+		st.SetTrace(h.Trace(), obs.VM(plat.tenants[i].vm.ID))
 		streams[i] = st
 	}
 	if reg := h.Config().Metrics; reg != nil {
@@ -396,17 +352,17 @@ func runServePoint(mult float64, elastic bool, scale Scale) (ServePoint, error) 
 
 // ServeCurve sweeps offered load across static and elastic modes and
 // renders the SLO curve table. The full point set (including per-stream
-// breakdowns and digests) is retained for WriteServeJSON / ServeSummary.
-func ServeCurve(scale Scale) (*Table, error) {
+// breakdowns and digests) is kept on the session for Result.Serve.
+func (s *Session) ServeCurve() (*Table, error) {
 	mults := []float64{0.5, 0.8, 1.1, 1.4}
-	if scale == ScaleFull {
+	if s.o.Scale == ScaleFull {
 		mults = []float64{0.3, 0.5, 0.8, 1.1, 1.4, 1.7}
 	}
 	points := make([]ServePoint, len(mults)*2)
-	err := Points(len(points), func(i int) error {
+	err := s.points(len(points), func(i int) error {
 		mult := mults[i/2]
 		elastic := i%2 == 1
-		p, err := runServePoint(mult, elastic, scale)
+		p, err := s.runServePoint(mult, elastic)
 		if err != nil {
 			return fmt.Errorf("serve x%.1f %v: %w", mult, elastic, err)
 		}
@@ -416,9 +372,9 @@ func ServeCurve(scale Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	serveMu.Lock()
-	serveCurve = points
-	serveMu.Unlock()
+	s.mu.Lock()
+	s.serve = points
+	s.mu.Unlock()
 
 	t := &Table{
 		ID:    "serve",
@@ -449,36 +405,9 @@ func ServeCurve(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// ServePoints returns the last ServeCurve run's full point set (nil before
-// any run).
-func ServePoints() []ServePoint {
-	serveMu.Lock()
-	defer serveMu.Unlock()
-	return serveCurve
-}
-
-// ServeSummary reduces the last serve run to the benchmark driver's
-// headline fields, taken at the highest offered load in elastic mode:
-// aggregate offered and goodput rates, the bursty tenant's p999, and the
-// SLO violation percentage. ok is false before any serve run.
-func ServeSummary() (offeredPerSec, goodputPerSec float64, p999Ns uint64, violationPct float64, ok bool) {
-	serveMu.Lock()
-	defer serveMu.Unlock()
-	for i := len(serveCurve) - 1; i >= 0; i-- {
-		if serveCurve[i].Mode == "elastic" {
-			p := serveCurve[i]
-			return p.OfferedPerSec, p.GoodputPerSec, p.P999Ns, p.ViolationPct, true
-		}
-	}
-	return 0, 0, 0, 0, false
-}
-
-// WriteServeJSON writes the last serve run as a JSON artifact: the armed
-// SLO and every sweep point with per-stream breakdowns.
-func WriteServeJSON(w io.Writer) error {
-	serveMu.Lock()
-	points := serveCurve
-	serveMu.Unlock()
+// WriteServeJSON writes a serve run's points (Result.Serve) as a JSON
+// artifact: the armed SLO and every sweep point with per-stream breakdowns.
+func WriteServeJSON(w io.Writer, points []ServePoint) error {
 	if points == nil {
 		return fmt.Errorf("exp: no serve run recorded (run the serve experiment first)")
 	}

@@ -3,29 +3,30 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"optimus/internal/chaos"
-	"optimus/internal/hv"
 	"optimus/internal/obs"
 	"optimus/internal/sim"
 )
 
-// serveRender runs the serve curve at the given parallelism and returns the
-// rendered table plus the concatenated per-point digests.
-func serveRender(t *testing.T, par int) (string, string) {
+// serveRender runs the serve curve under o and returns the rendered table
+// plus the concatenated per-point digests.
+func serveRender(t *testing.T, o Options) (string, string) {
 	t.Helper()
-	SetParallelism(par)
-	defer SetParallelism(0)
-	tab, err := ServeCurve(ScaleQuick)
+	s := NewSession(o)
+	tab, err := s.ServeCurve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	tab.Render(&buf)
 	var dig strings.Builder
-	for _, p := range ServePoints() {
+	for _, p := range s.Result().Serve {
 		dig.WriteString(p.Digest)
 		dig.WriteByte(' ')
 	}
@@ -35,36 +36,60 @@ func serveRender(t *testing.T, par int) (string, string) {
 // TestServeCurveDeterminism is the open-loop determinism harness: the same
 // seeds must give byte-identical tables and stream digests at any sweep
 // parallelism, with the full telemetry engine armed or not, and — under a
-// fixed fault plan — with chaos armed at any parallelism.
+// fixed fault plan — with chaos armed at any parallelism. Each variant is
+// an independent parallel subtest with its own options, compared against
+// its reference variant afterwards.
 func TestServeCurveDeterminism(t *testing.T) {
-	baseTab, baseDig := serveRender(t, 1)
-	parTab, parDig := serveRender(t, 8)
-	if parTab != baseTab || parDig != baseDig {
-		t.Fatalf("serve output differs between par 1 and par 8:\n--- par1 ---\n%s\n--- par8 ---\n%s", baseTab, parTab)
-	}
-
+	t.Parallel()
 	// Telemetry must be invisible: tracer rings, metrics registries (which
-	// now carry the load.* namespace), the epoch-driven sampler, and the
+	// carry the load.* namespace), the epoch-driven sampler, and the
 	// profiler all armed — the arrival injector and the sampler's epoch
 	// hook share clock boundaries, so this is the gate proving injection
 	// order survives observation.
-	coll := obs.NewCollector()
-	hv.ObserveAll(coll, 256)
-	hv.SampleAll(&obs.SampleConfig{Window: 250 * sim.Microsecond})
-	hv.ProfileAll(true)
-	defer func() { hv.ObserveAll(nil, 0); hv.SampleAll(nil); hv.ProfileAll(false) }()
-	obsTab, obsDig := serveRender(t, 8)
-	hv.ObserveAll(nil, 0)
-	hv.SampleAll(nil)
-	hv.ProfileAll(false)
-	if obsTab != baseTab || obsDig != baseDig {
-		t.Fatalf("serve output differs with telemetry armed:\n--- off ---\n%s\n--- on ---\n%s", baseTab, obsTab)
+	observed := Observe{
+		Collector: obs.NewCollector(),
+		TraceCap:  256,
+		Sample:    &obs.SampleConfig{Window: 250 * sim.Microsecond},
+		Profile:   true,
 	}
-	if len(coll.Platforms()) == 0 {
-		t.Fatal("auto-observe collected no serve platforms")
+	// Chaos armed: results legitimately differ from the fault-free run, but
+	// must still be identical across parallelism for a fixed plan.
+	plan := &chaos.Config{Seed: 7, XlatPPM: 200, DropPPM: 100}
+	variants := []struct {
+		name string
+		ref  int // index of the variant this one must reproduce
+		o    Options
+	}{
+		{"par1", 0, Options{Par: 1}},
+		{"par8", 0, Options{Par: 8}},
+		{"observed-par8", 0, Options{Par: 8, Observe: observed}},
+		{"chaos-par1", 3, Options{Par: 1, Chaos: plan}},
+		{"chaos-par8", 3, Options{Par: 8, Chaos: plan}},
+	}
+	tabs := make([]string, len(variants))
+	digs := make([]string, len(variants))
+	t.Run("variants", func(t *testing.T) {
+		for i, v := range variants {
+			t.Run(v.name, func(t *testing.T) {
+				t.Parallel()
+				tabs[i], digs[i] = serveRender(t, v.o)
+			})
+		}
+	})
+	for i, v := range variants {
+		r := variants[v.ref].name
+		if tabs[i] != tabs[v.ref] || digs[i] != digs[v.ref] {
+			t.Errorf("serve output differs between %s and %s:\n--- %s ---\n%s\n--- %s ---\n%s", r, v.name, r, tabs[v.ref], v.name, tabs[i])
+		}
+	}
+	if tabs[3] == tabs[0] {
+		t.Error("chaos-armed serve table equals the fault-free one: the plan was not applied")
+	}
+	if len(observed.Collector.Platforms()) == 0 {
+		t.Fatal("observed run collected no serve platforms")
 	}
 	found := false
-	for _, p := range coll.Platforms() {
+	for _, p := range observed.Collector.Platforms() {
 		if p.Metrics == nil {
 			continue
 		}
@@ -77,15 +102,58 @@ func TestServeCurveDeterminism(t *testing.T) {
 	if !found {
 		t.Fatal("no observed platform registered load.* metrics")
 	}
+}
 
-	// Chaos armed: results legitimately differ from the fault-free run, but
-	// must still be identical across parallelism for a fixed plan.
-	hv.ChaosAll(&chaos.Config{Seed: 7, XlatPPM: 200, DropPPM: 100})
-	defer hv.ChaosAll(nil)
-	chaosSeq, chaosSeqDig := serveRender(t, 1)
-	chaosPar, chaosParDig := serveRender(t, 8)
-	if chaosPar != chaosSeq || chaosParDig != chaosSeqDig {
-		t.Fatalf("chaos-armed serve output differs between par 1 and par 8:\n--- par1 ---\n%s\n--- par8 ---\n%s", chaosSeq, chaosPar)
+// TestConcurrentRunsOwnOptions runs two sessions with different options at
+// once — one fault-free and unobserved, one chaos-armed and observed — and
+// requires each to reproduce exactly what it renders alone: its baseline
+// tables and its serve digests. Nothing a run configures may leak into
+// another run in the same process.
+func TestConcurrentRunsOwnOptions(t *testing.T) {
+	t.Parallel()
+	optsA := func() Options { return Options{Par: 2} }
+	optsB := func() Options {
+		return Options{
+			Par:     2,
+			Chaos:   &chaos.Config{Seed: 7, XlatPPM: 2000, DropPPM: 1000},
+			Observe: Observe{Collector: obs.NewCollector(), TraceCap: 128},
+		}
+	}
+	run := func(o Options) string {
+		s := NewSession(o)
+		tab, err := s.MuxArityAblation()
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		var buf bytes.Buffer
+		tab.Render(&buf)
+		p, err := s.runServePoint(1.1, true)
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		if c := o.Observe.Collector; c != nil && len(c.Platforms()) == 0 {
+			t.Error("observed run registered no platforms")
+		}
+		fmt.Fprintf(&buf, "serve %s completed=%d failed=%d\n", p.Digest, p.Completed, p.Failed)
+		return buf.String()
+	}
+	var concA, concB string
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); concA = run(optsA()) }()
+	go func() { defer wg.Done(); concB = run(optsB()) }()
+	wg.Wait()
+	aloneA, aloneB := run(optsA()), run(optsB())
+	if concA != aloneA {
+		t.Errorf("fault-free run changed while running beside a chaos run:\n--- alone ---\n%s\n--- concurrent ---\n%s", aloneA, concA)
+	}
+	if concB != aloneB {
+		t.Errorf("chaos run changed while running beside a fault-free run:\n--- alone ---\n%s\n--- concurrent ---\n%s", aloneB, concB)
+	}
+	if aloneA == aloneB {
+		t.Error("chaos-armed run rendered the fault-free output: its options were not applied")
 	}
 }
 
@@ -95,12 +163,14 @@ func TestServeCurveDeterminism(t *testing.T) {
 // violations — the standby slot absorbs the bursts that static provisioning
 // must queue.
 func TestServeElasticBeatsStatic(t *testing.T) {
-	if _, err := ServeCurve(ScaleQuick); err != nil {
+	t.Parallel()
+	res, err := Run("serve", Options{}, io.Discard)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var static, elastic *ServePoint
-	for i := range ServePoints() {
-		p := &ServePoints()[i]
+	for i := range res.Serve {
+		p := &res.Serve[i]
 		if p.Mult == 0.8 {
 			switch p.Mode {
 			case "static":
@@ -130,11 +200,16 @@ func TestServeElasticBeatsStatic(t *testing.T) {
 // TestServeJSONArtifact checks the -slo artifact: valid JSON with the armed
 // SLO, ordered percentiles, and violation percentages in range.
 func TestServeJSONArtifact(t *testing.T) {
-	if _, err := ServeCurve(ScaleQuick); err != nil {
+	t.Parallel()
+	if err := WriteServeJSON(io.Discard, nil); err == nil {
+		t.Fatal("WriteServeJSON accepted a run without serve points")
+	}
+	res, err := Run("serve", Options{}, io.Discard)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteServeJSON(&buf); err != nil {
+	if err := WriteServeJSON(&buf, res.Serve); err != nil {
 		t.Fatal(err)
 	}
 	var art struct {

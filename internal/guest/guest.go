@@ -6,11 +6,13 @@
 package guest
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"optimus/internal/accel"
 	"optimus/internal/hv"
 	"optimus/internal/mem"
+	"optimus/internal/sim"
 )
 
 // Buffer is an allocation in the process's FPGA-shared DMA region. Addr is
@@ -116,6 +118,34 @@ func (d *Device) Read(b Buffer, off uint64, out []byte) error {
 		return fmt.Errorf("guest: read beyond buffer")
 	}
 	return d.proc.Read(b.Addr+mem.GVA(off), out)
+}
+
+// BuildList lays a LinkedList of n nodes (clamped to [2, buf's 64-byte
+// slots]) at seeded random slots of buf: each node holds the next node's
+// address and a random payload. It returns the head address to program
+// into accel.LLArgHead and the payload checksum the walk must produce.
+// Every entry point that builds a LinkedList workload uses it, so the same
+// (buffer, n, seed) yields the same list everywhere.
+func (d *Device) BuildList(buf Buffer, n int, seed uint64) (head, sum uint64, err error) {
+	slots := int(buf.Size / 64)
+	n = min(max(n, 2), slots)
+	rng := sim.NewRand(seed ^ 0x11)
+	order := rng.Sample(slots, n)
+	node := make([]byte, 64)
+	for i, slot := range order {
+		var next uint64
+		if i+1 < n {
+			next = uint64(buf.Addr) + uint64(order[i+1])*64
+		}
+		payload := rng.Uint64()
+		sum += payload
+		binary.LittleEndian.PutUint64(node, next)
+		binary.LittleEndian.PutUint64(node[8:], payload)
+		if err := d.Write(buf, uint64(slot)*64, node); err != nil {
+			return 0, 0, err
+		}
+	}
+	return uint64(buf.Addr) + uint64(order[0])*64, sum, nil
 }
 
 // RegWrite programs application register i (a trapped BAR0 access).

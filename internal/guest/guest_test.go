@@ -187,3 +187,37 @@ func TestDeviceCloseFreesSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBuildListWalk checks the shared LinkedList builder end to end: the
+// LinkedList accelerator walking the built list reports exactly the
+// payload checksum BuildList returned, the same seed rebuilds the same
+// list, and n is clamped to the buffer's 64-byte slots.
+func TestBuildListWalk(t *testing.T) {
+	_, dev := openDevice(t)
+	buf, err := dev.AllocDMA(64 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, sum, err := dev.BuildList(buf, 300, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if head2, sum2, _ := dev.BuildList(buf, 300, 7); head2 != head || sum2 != sum {
+		t.Fatal("same seed built a different list")
+	}
+	dev.RegWrite(accel.LLArgHead, head)
+	if err := dev.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := dev.RegRead(accel.LLArgChecksum); err != nil || got != sum {
+		t.Fatalf("walk checksum %#x (err %v), BuildList returned %#x", got, err, sum)
+	}
+
+	small, err := dev.AllocDMA(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := dev.BuildList(small, 1000, 1); err != nil {
+		t.Fatalf("n beyond the buffer's slots must clamp, got %v", err)
+	}
+}

@@ -2,29 +2,10 @@ package hv
 
 import (
 	"fmt"
-	"sync/atomic"
 
-	"optimus/internal/chaos"
 	"optimus/internal/mem"
+	"optimus/internal/obs"
 )
-
-// noCloneCoW disables copy-on-write frame sharing in Clone when set
-// (sharing defaults on). Kept as the inverted flag so the zero value is
-// the default, mirroring exp's noClone.
-var noCloneCoW atomic.Bool
-
-// SetCloneCoW toggles copy-on-write frame sharing for subsequent Clones.
-// With CoW on (the default), a clone's physical memory is an O(resident-
-// frames) pointer share of the template's and the first write to a shared
-// frame copies just that frame; with CoW off every resident frame is
-// deep-copied up front. Results are byte-identical either way — the
-// benchmark driver exposes the switch as -cow so that equivalence stays
-// easy to audit (and CI diffs both modes).
-func SetCloneCoW(on bool) { noCloneCoW.Store(!on) }
-
-// CloneCoW reports whether clone-time copy-on-write frame sharing is
-// enabled.
-func CloneCoW() bool { return !noCloneCoW.Load() }
 
 // Clone snapshots a fully provisioned but not-yet-started platform into a
 // fresh, independent instance. The structural skeleton (kernel, shell,
@@ -50,9 +31,11 @@ func CloneCoW() bool { return !noCloneCoW.Load() }
 // only advances with heap-scheduled events, so the quiescence check also
 // guarantees a pristine kernel.
 //
-// Observability handles are never shared: if the template's tracer and
-// registry came from ObserveAll, the clone gets fresh ones; Unobserved is
-// cleared so clones of suppressed templates register normally.
+// A clone never shares a telemetry handle with its template: it gets a
+// fresh tracer of the template's ring capacity, a fresh metrics registry,
+// and the template's sample/profile settings, so concurrent clones of one
+// template never race on a ring or a counter. Registering the clone's
+// handles anywhere (a collector) is the caller's business.
 func (h *Hypervisor) Clone() (*Hypervisor, error) {
 	if now, pend, exec := h.K.Now(), h.K.Pending(), h.K.Executed(); now != 0 || pend != 0 || exec != 0 {
 		return nil, fmt.Errorf("hv: Clone requires a quiescent platform (now=%v pending=%d executed=%d)", now, pend, exec)
@@ -66,9 +49,11 @@ func (h *Hypervisor) Clone() (*Hypervisor, error) {
 	}
 
 	cfg := h.cfg
-	cfg.Unobserved = false
-	if h.autoObserved {
-		cfg.Trace, cfg.Metrics = nil, nil
+	if cfg.Trace != nil {
+		cfg.Trace = obs.NewTracer(cfg.Trace.Cap())
+	}
+	if cfg.Metrics != nil {
+		cfg.Metrics = obs.NewRegistry()
 	}
 	c, err := New(cfg)
 	if err != nil {
@@ -79,14 +64,8 @@ func (h *Hypervisor) Clone() (*Hypervisor, error) {
 	// post-clone allocations return the same addresses a fresh platform
 	// would; the IOPT copy carries the pinned shadow mappings installed by
 	// provisioning-time mapPage hypercalls. Physical memory transfers by
-	// copy-on-write frame sharing unless -cow disabled it: contents are
-	// identical either way, only the host cost differs (pointer shares vs
-	// deep frame copies; see mem.PhysMem.ShareFrom).
-	if CloneCoW() {
-		c.Mem.ShareFrom(h.Mem)
-	} else {
-		c.Mem.CopyFrom(h.Mem)
-	}
+	// copy-on-write frame sharing (see mem.PhysMem.ShareFrom).
+	c.Mem.ShareFrom(h.Mem)
 	c.frames.CopyFrom(h.frames)
 	c.Shell.IOMMU.Table().CopyFrom(h.Shell.IOMMU.Table())
 	if c.chaos != nil && h.chaos != nil {
@@ -161,8 +140,3 @@ func (h *Hypervisor) Clone() (*Hypervisor, error) {
 // order. Callers must not mutate the returned slice; it is how sweep code
 // recovers tenant handles on a cloned platform.
 func (pa *PhysAccel) VAccels() []*VAccel { return pa.sched.vaccels }
-
-// AutoChaos returns the fault-injection config armed via ChaosAll (nil
-// when none). Warm-template caches key on it: a template built under one
-// arming must not serve clones under another.
-func AutoChaos() *chaos.Config { return autoChaos }

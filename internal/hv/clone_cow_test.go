@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"optimus/internal/guest"
 	"optimus/internal/hv"
 	"optimus/internal/mem"
 )
@@ -22,12 +23,11 @@ type cloneOutcome struct {
 
 // TestCloneCoWDeterminism is the correctness gate for copy-on-write frame
 // sharing: N clones of one template, with overlapping and disjoint
-// mutations, must be byte-for-byte indistinguishable from deep-copy-mode
-// clones — and the template must be provably unmutated throughout — with
-// every chaos class armed.
+// mutations, must be byte-for-byte indistinguishable from platforms built
+// and provisioned from scratch by the same call sequence — same output,
+// counters, and final memory — and the template must be provably unmutated
+// throughout, with every chaos class armed.
 func TestCloneCoWDeterminism(t *testing.T) {
-	t.Cleanup(func() { hv.SetCloneCoW(true) })
-
 	hT, err := hv.New(cloneCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -35,64 +35,63 @@ func TestCloneCoWDeterminism(t *testing.T) {
 	tnT, dstT, plain := provisionCloneJob(t, hT)
 	templateFP := hT.Mem.Fingerprint()
 
-	const clones = 3
-	runMode := func(cow bool) [clones]cloneOutcome {
-		hv.SetCloneCoW(cow)
-		var out [clones]cloneOutcome
-		for i := 0; i < clones; i++ {
-			hC, err := hT.Clone()
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, shared := hC.Mem.ResidentFrames(), hC.Mem.SharedFrames()
-			if cow {
-				if res == 0 || float64(shared) < 0.9*float64(res) {
-					t.Fatalf("CoW clone shares %d of %d frames, want >= 90%%", shared, res)
-				}
-			} else if shared != 0 {
-				t.Fatalf("deep clone reports %d shared frames, want 0", shared)
-			}
-			if dirty := hC.Mem.DirtyFrameCount(); dirty != 0 {
-				t.Fatalf("clone starts with %d dirty frames, want 0", dirty)
-			}
-			vas := hC.Phy(0).VAccels()
-			dC := tnT.dev.CloneFor(vas[0].Process(), vas[0])
-			cipher, fp := runCloneJob(t, hC, dC, dstT, len(plain))
-			if hC.Mem.DirtyFrameCount() == 0 {
-				t.Fatal("running the job dirtied no frames")
-			}
-			// Disjoint per-clone mutation: clone i scribbles on its own
-			// distinct physical frame, far outside the provisioned region.
-			private := mem.HPA(hC.Mem.Size() - uint64(i+1)*mem.PageSize4K)
-			hC.Mem.Write(private, []byte(fmt.Sprintf("clone-%d-private", i)))
-			out[i] = cloneOutcome{cipher: cipher, fp: fp, memFP: hC.Mem.Fingerprint()}
-			if cow && hC.Mem.CoWBreaks() == 0 {
-				t.Fatal("CoW clone ran a job without breaking a single share — the write path went uninterposed")
-			}
-			if hT.Mem.Fingerprint() != templateFP {
-				t.Fatalf("template memory mutated by clone %d (cow=%v)", i, cow)
-			}
+	// finish runs the provisioned job, then applies point i's disjoint
+	// mutation: a scribble on its own distinct physical frame, far outside
+	// the provisioned region (every point's job overlaps on the same dst).
+	finish := func(h *hv.Hypervisor, d *guest.Device, i int) cloneOutcome {
+		cipher, fp := runCloneJob(t, h, d, dstT, len(plain))
+		if h.Mem.DirtyFrameCount() == 0 {
+			t.Fatal("running the job dirtied no frames")
 		}
-		return out
+		private := mem.HPA(h.Mem.Size() - uint64(i+1)*mem.PageSize4K)
+		h.Mem.Write(private, []byte(fmt.Sprintf("clone-%d-private", i)))
+		return cloneOutcome{cipher: cipher, fp: fp, memFP: h.Mem.Fingerprint()}
 	}
 
-	cowOut := runMode(true)
-	deepOut := runMode(false)
+	const clones = 3
+	var cow, fresh [clones]cloneOutcome
 	for i := 0; i < clones; i++ {
-		if !bytes.Equal(cowOut[i].cipher, deepOut[i].cipher) {
-			t.Fatalf("clone %d ciphertext differs between CoW and deep-copy mode", i)
+		hC, err := hT.Clone()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if cowOut[i].fp != deepOut[i].fp {
-			t.Fatalf("clone %d counters differ:\ncow:  %s\ndeep: %s", i, cowOut[i].fp, deepOut[i].fp)
+		if res, shared := hC.Mem.ResidentFrames(), hC.Mem.SharedFrames(); res == 0 || float64(shared) < 0.9*float64(res) {
+			t.Fatalf("CoW clone shares %d of %d frames, want >= 90%%", shared, res)
 		}
-		if cowOut[i].memFP != deepOut[i].memFP {
-			t.Fatalf("clone %d final memory contents differ between CoW and deep-copy mode", i)
+		if dirty := hC.Mem.DirtyFrameCount(); dirty != 0 {
+			t.Fatalf("clone starts with %d dirty frames, want 0", dirty)
+		}
+		vas := hC.Phy(0).VAccels()
+		cow[i] = finish(hC, tnT.dev.CloneFor(vas[0].Process(), vas[0]), i)
+		if hC.Mem.CoWBreaks() == 0 {
+			t.Fatal("CoW clone ran a job without breaking a single share — the write path went uninterposed")
+		}
+		if hT.Mem.Fingerprint() != templateFP {
+			t.Fatalf("template memory mutated by clone %d", i)
+		}
+
+		hF, err := hv.New(cloneCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tnF, _, _ := provisionCloneJob(t, hF)
+		fresh[i] = finish(hF, tnF.dev, i)
+	}
+	for i := 0; i < clones; i++ {
+		if !bytes.Equal(cow[i].cipher, fresh[i].cipher) {
+			t.Fatalf("clone %d ciphertext differs from a freshly built platform", i)
+		}
+		if cow[i].fp != fresh[i].fp {
+			t.Fatalf("clone %d counters differ:\nclone: %s\nfresh: %s", i, cow[i].fp, fresh[i].fp)
+		}
+		if cow[i].memFP != fresh[i].memFP {
+			t.Fatalf("clone %d final memory contents differ from a freshly built platform", i)
 		}
 	}
 	// Clones with identical inputs are deterministic replicas of each
 	// other up to their disjoint private writes — which land on different
 	// frames, so the memory fingerprints must differ pairwise.
-	if cowOut[0].memFP == cowOut[1].memFP {
+	if cow[0].memFP == cow[1].memFP {
 		t.Fatal("disjoint private writes did not diverge the clones")
 	}
 	if hT.K.Now() != 0 || hT.K.Executed() != 0 {
@@ -119,26 +118,10 @@ func benchTemplate(b *testing.B, bytes uint64) *hv.Hypervisor {
 	return h
 }
 
-// BenchmarkCloneCoW and BenchmarkCloneDeep measure the clone cost of a
-// template with a 64 MB resident set under the two transfer modes; their
-// ratio is the headline number in docs/PERFORMANCE.md.
+// BenchmarkCloneCoW measures the clone cost of a template with a 64 MB
+// resident set (the headline number in docs/PERFORMANCE.md).
 func BenchmarkCloneCoW(b *testing.B) {
 	h := benchTemplate(b, 64<<20)
-	b.Cleanup(func() { hv.SetCloneCoW(true) })
-	hv.SetCloneCoW(true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := h.Clone(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCloneDeep(b *testing.B) {
-	h := benchTemplate(b, 64<<20)
-	b.Cleanup(func() { hv.SetCloneCoW(true) })
-	hv.SetCloneCoW(false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

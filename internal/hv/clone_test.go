@@ -3,6 +3,7 @@ package hv_test
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"optimus/internal/accel"
@@ -87,12 +88,15 @@ func runCloneJob(t *testing.T, h *hv.Hypervisor, d *guest.Device, dst guest.Buff
 // same simulated timeline — with fault injection armed and tracing
 // enabled.
 func TestCloneDeterminism(t *testing.T) {
-	coll := obs.NewCollector()
-	hv.ObserveAll(coll, 512)
-	defer hv.ObserveAll(nil, 0)
+	traced := func() hv.Config {
+		cfg := cloneCfg()
+		cfg.Trace = obs.NewTracer(512)
+		cfg.Metrics = obs.NewRegistry()
+		return cfg
+	}
 
 	// Control: fresh platform, provision, run.
-	hA, err := hv.New(cloneCfg())
+	hA, err := hv.New(traced())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +104,7 @@ func TestCloneDeterminism(t *testing.T) {
 	outA, fpA := runCloneJob(t, hA, tnA.dev, dstA, len(plain))
 
 	// Template: identical call sequence up to (but not including) Start.
-	hT, err := hv.New(cloneCfg())
+	hT, err := hv.New(traced())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,6 +139,9 @@ func TestCloneDeterminism(t *testing.T) {
 	if hC.Trace() == nil || hC.Trace() == hT.Trace() {
 		t.Fatal("clone must get its own tracer")
 	}
+	if hC.Config().Metrics == nil || hC.Config().Metrics == hT.Config().Metrics {
+		t.Fatal("clone must get its own metrics registry")
+	}
 
 	// The template is read-only under Clone: running the first clone must
 	// not have perturbed it, so a second clone replays identically.
@@ -149,5 +156,64 @@ func TestCloneDeterminism(t *testing.T) {
 	// A platform with history is not clonable.
 	if _, err := hA.Clone(); err == nil {
 		t.Fatal("Clone of a non-quiescent platform must fail")
+	}
+}
+
+// TestConcurrentClonesOwnTracers clones a template built with an explicit
+// Config.Trace twice and runs both clones at once (meaningful under -race):
+// each clone must own a distinct tracer of the template's capacity, record
+// only its own run, and leave the template's ring untouched.
+func TestConcurrentClonesOwnTracers(t *testing.T) {
+	cfg := cloneCfg()
+	cfg.Trace = obs.NewTracer(512)
+	hT, err := hv.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tnT, dstT, plain := provisionCloneJob(t, hT)
+	templateEmitted := hT.Trace().Emitted()
+
+	var clones [2]*hv.Hypervisor
+	var devs [2]*guest.Device
+	for i := range clones {
+		hC, err := hT.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		vas := hC.Phy(0).VAccels()
+		clones[i], devs[i] = hC, tnT.dev.CloneFor(vas[0].Process(), vas[0])
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(clones))
+	for i := range clones {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = devs[i].Run()
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("clone %d: %v", i, err)
+		}
+	}
+
+	a, b := clones[0].Trace(), clones[1].Trace()
+	if a == nil || b == nil || a == b || a == hT.Trace() || b == hT.Trace() {
+		t.Fatal("each clone must own a private tracer")
+	}
+	if a.Cap() != hT.Trace().Cap() || b.Cap() != hT.Trace().Cap() {
+		t.Fatalf("clone tracer capacities %d/%d, want the template's %d", a.Cap(), b.Cap(), hT.Trace().Cap())
+	}
+	if a.Emitted() == 0 || a.Emitted() != b.Emitted() {
+		t.Fatalf("identical clone runs emitted %d and %d records", a.Emitted(), b.Emitted())
+	}
+	if hT.Trace().Emitted() != templateEmitted {
+		t.Fatal("clone runs emitted into the template's ring")
+	}
+	out := make([]byte, len(plain))
+	if err := devs[0].Read(dstT, 0, out); err != nil || bytes.Equal(out, plain) {
+		t.Fatalf("clone job produced no ciphertext (err %v)", err)
 	}
 }

@@ -11,7 +11,6 @@ package hv
 
 import (
 	"fmt"
-	"strings"
 
 	"optimus/internal/accel"
 	"optimus/internal/ccip"
@@ -90,11 +89,6 @@ type Config struct {
 	Monitor hwmon.Config
 	// Seed drives all platform randomness.
 	Seed uint64
-	// Unobserved suppresses the ObserveAll auto-attach for this platform.
-	// Warm templates (see Clone and internal/exp) set it so the template
-	// itself never registers with the sweep collector; clones clear it, so
-	// every measured platform still gets a private tracer and registry.
-	Unobserved bool
 	// Trace, when non-nil, is attached to every instrumented component
 	// (shell, monitor, accelerators, schedulers). Tracing only copies
 	// scalars into the ring, so it never perturbs simulated behaviour.
@@ -104,15 +98,14 @@ type Config struct {
 	Metrics *obs.Registry
 	// Profile, when true, attaches a utilization profiler to the platform's
 	// tracer: per-actor busy/stall/preempt/idle sim-time accounting derived
-	// from the trace stream at emit time (obs.Profiler). Requires tracing
-	// (Trace set, or auto-observation with tracing enabled); otherwise it
-	// is a no-op.
+	// from the trace stream at emit time (obs.Profiler). Requires Trace;
+	// otherwise it is a no-op.
 	Profile bool
 	// Sample, when non-nil, attaches an epoch-driven time-series sampler
 	// (obs.Sampler) over the platform's metrics registry: every registered
 	// metric is snapshotted into ring buffers once per Sample.Window of
-	// simulated time. Requires Metrics (explicit or auto-observed);
-	// otherwise it is a no-op. The config is read at assembly only.
+	// simulated time. Requires Metrics; otherwise it is a no-op. The
+	// config is read at assembly only.
 	Sample *obs.SampleConfig
 }
 
@@ -184,11 +177,6 @@ type Hypervisor struct {
 	sampler *obs.Sampler  //optimus:clone-skip rebuilt by New; derived observability, never copied state
 	chaos   *chaos.Plan   // nil = fault injection disabled
 	stats   Stats
-
-	// autoObserved records that tr/Metrics came from the ObserveAll
-	// collector rather than the caller; Clone must strip them so every
-	// clone gets private handles instead of racing on shared ones.
-	autoObserved bool
 }
 
 // Stats counts hypervisor events.
@@ -203,82 +191,11 @@ type Stats struct {
 	ElasticShrinks  uint64
 }
 
-// autoObserve, when armed via ObserveAll, makes every subsequently
-// assembled platform create a private tracer and metrics registry and
-// register them with a collector. It lets sweep drivers (cmd/optimus-bench)
-// observe platforms that are built deep inside experiment code without
-// threading handles through every figure function. Access is not locked:
-// arming happens once, before any sweep goroutine starts, and each platform
-// still owns a private tracer (obs.Collector.Add does its own locking).
-//
-//optimus:global-ok armed once by ObserveAll before any sweep goroutine starts; platforms read it during assembly only
-var autoObserve struct {
-	c        *obs.Collector
-	traceCap int
-	sample   *obs.SampleConfig
-	profile  bool
-}
-
-// ObserveAll directs every platform assembled after this call to attach a
-// fresh tracer (ring capacity traceCap; 0 selects obs.DefaultCapacity,
-// negative disables tracing) and metrics registry, both registered with c.
-// Pass a nil collector to stop. Config.Trace/Config.Metrics, when set, take
-// precedence over the collector's automatic handles.
-func ObserveAll(c *obs.Collector, traceCap int) {
-	autoObserve.c = c
-	autoObserve.traceCap = traceCap
-}
-
-// SampleAll directs every auto-observed platform assembled after this call
-// to also attach a time-series sampler with cfg (each platform copies the
-// config; an explicit Config.Sample takes precedence). Pass nil to stop.
-// Same arming discipline as ObserveAll: once, before any sweep goroutine.
-func SampleAll(cfg *obs.SampleConfig) { autoObserve.sample = cfg }
-
-// ProfileAll directs every auto-observed platform assembled after this call
-// to also attach a utilization profiler to its tracer. Same arming
-// discipline as ObserveAll.
-func ProfileAll(on bool) { autoObserve.profile = on }
-
-// autoChaos, when armed via ChaosAll, applies a fault-injection config to
-// every subsequently assembled platform that does not set Config.Chaos
-// itself. Same access discipline as autoObserve: armed once before any
-// sweep goroutine starts; each platform builds a private Plan, so points
-// never share a decision stream.
-//
-//optimus:global-ok armed once by ChaosAll before any sweep goroutine starts; each platform builds a private Plan
-var autoChaos *chaos.Config
-
-// ChaosAll arms fault injection (cmd flag -chaos) on every platform
-// assembled after this call; an explicit Config.Chaos takes precedence.
-// Pass nil to stop.
-func ChaosAll(cfg *chaos.Config) { autoChaos = cfg }
-
 // New assembles a platform per cfg.
 func New(cfg Config) (*Hypervisor, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Accels) == 0 || len(cfg.Accels) > 8 {
 		return nil, fmt.Errorf("hv: %d accelerators (want 1–8)", len(cfg.Accels))
-	}
-	autoObserved := false
-	var collector *obs.Collector
-	if c := autoObserve.c; c != nil && !cfg.Unobserved && cfg.Trace == nil && cfg.Metrics == nil {
-		if autoObserve.traceCap >= 0 {
-			cfg.Trace = obs.NewTracer(autoObserve.traceCap)
-		}
-		cfg.Metrics = obs.NewRegistry()
-		if cfg.Sample == nil && autoObserve.sample != nil {
-			s := *autoObserve.sample
-			cfg.Sample = &s
-		}
-		if autoObserve.profile {
-			cfg.Profile = true
-		}
-		// Registration with the collector happens at the end of New, once
-		// the sampler and profiler handles exist (and never for a platform
-		// whose assembly fails partway).
-		collector = c
-		autoObserved = true
 	}
 	k := sim.NewKernel()
 	pm := mem.NewPhysMem(cfg.MemBytes)
@@ -291,22 +208,17 @@ func New(cfg Config) (*Hypervisor, error) {
 	shell := ccip.NewShell(k, pm, shellCfg)
 
 	h := &Hypervisor{
-		cfg:          cfg,
-		K:            k,
-		Mem:          pm,
-		Shell:        shell,
-		frames:       mem.NewFrameAllocator(0, cfg.MemBytes),
-		tr:           cfg.Trace,
-		autoObserved: autoObserved,
+		cfg:    cfg,
+		K:      k,
+		Mem:    pm,
+		Shell:  shell,
+		frames: mem.NewFrameAllocator(0, cfg.MemBytes),
+		tr:     cfg.Trace,
 	}
 	shell.SetTracer(h.tr)
 
-	ccfg := cfg.Chaos
-	if ccfg == nil && autoChaos != nil {
-		ccfg = autoChaos
-	}
-	if ccfg != nil {
-		cc := *ccfg
+	if cfg.Chaos != nil {
+		cc := *cfg.Chaos
 		if cc.Seed == 0 {
 			cc.Seed = cfg.Seed ^ 0xfa177 // distinct per-platform stream in seeded sweeps
 		}
@@ -364,15 +276,6 @@ func New(cfg Config) (*Hypervisor, error) {
 			h.sampler = obs.NewSampler(cfg.Metrics, h.prof, *cfg.Sample)
 			h.sampler.Attach(k)
 		}
-	}
-	if collector != nil {
-		collector.AddPlatform(obs.PlatformObs{
-			Label:   strings.Join(cfg.Accels, "+"),
-			Trace:   cfg.Trace,
-			Metrics: cfg.Metrics,
-			Sampler: h.sampler,
-			Profile: h.prof,
-		})
 	}
 	return h, nil
 }

@@ -48,29 +48,22 @@ func metricValue(t *testing.T, reg *obs.Registry, name string) float64 {
 }
 
 // TestCloneTelemetryPrivate is the hv-side gate for clone-scoped telemetry:
-// with the full engine armed (collector + sampler + profiler), a clone must
-// get a private tracer ring, sampler, profiler, and metrics registry — its
-// spans must never land in the template's ring, and its CoW-break counter
-// must be invisible to (and resettable independently of) the template.
+// with the full engine armed on the template (tracer + registry + sampler +
+// profiler), a clone must get a private tracer ring, sampler, profiler, and
+// metrics registry — its spans must never land in the template's ring, and
+// its CoW-break counter must be invisible to (and resettable independently
+// of) the template.
 func TestCloneTelemetryPrivate(t *testing.T) {
-	coll := obs.NewCollector()
-	hv.ObserveAll(coll, 512)
-	hv.SampleAll(&obs.SampleConfig{Window: sim.Microsecond})
-	hv.ProfileAll(true)
-	defer func() {
-		hv.ObserveAll(nil, 0)
-		hv.SampleAll(nil)
-		hv.ProfileAll(false)
-	}()
-
-	hT, err := hv.New(cloneCfg())
+	cfg := cloneCfg()
+	cfg.Trace = obs.NewTracer(512)
+	cfg.Metrics = obs.NewRegistry()
+	cfg.Sample = &obs.SampleConfig{Window: sim.Microsecond}
+	cfg.Profile = true
+	hT, err := hv.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tnT, dstT, plain := provisionCloneJob(t, hT)
-	if hT.Trace() == nil {
-		t.Fatal("auto-observed template has no tracer")
-	}
 	templateEmitted := hT.Trace().Emitted()
 
 	hC, err := hT.Clone()
@@ -79,6 +72,9 @@ func TestCloneTelemetryPrivate(t *testing.T) {
 	}
 	if hC.Trace() == nil || hC.Trace() == hT.Trace() {
 		t.Fatal("clone must own a private tracer ring")
+	}
+	if hC.Trace().Cap() != hT.Trace().Cap() {
+		t.Fatalf("clone ring holds %d records, template %d", hC.Trace().Cap(), hT.Trace().Cap())
 	}
 	if hC.Sampler() == nil || hC.Sampler() == hT.Sampler() {
 		t.Fatal("clone must own a private sampler")

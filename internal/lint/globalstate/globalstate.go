@@ -12,8 +12,10 @@
 // A package-level var in a scoped package is allowed when it is
 //
 //   - an error sentinel (type error) — immutable by convention;
-//   - a sync primitive (sync.Mutex, sync.Once, sync.WaitGroup, …) or a
-//     sync/atomic value — the synchronization fabric itself;
+//   - a sync primitive (sync.Mutex, sync.Once, sync.WaitGroup, …) — the
+//     synchronization fabric itself. sync/atomic values are not exempt: an
+//     atomic counter or toggle is mutable state shared by every platform
+//     in the process, however race-free its updates;
 //   - an unexported read-only table: a value of shallow-immutable type
 //     (basic, string, array/struct thereof, func) that no function in the
 //     package writes outside init — lookup tables stay cheap;
@@ -125,13 +127,16 @@ func allowed(pass *lint.Pass, name *ast.Ident, obj *types.Var, written map[types
 	if isError(t) {
 		return true
 	}
-	if isSyncType(t) {
+	if declaredIn(t) == "sync" {
 		return true
 	}
 	// Unexported read-only table: immutable value shape and never written
 	// after initialization (exported vars are writable by other packages,
-	// so they cannot earn this exemption).
-	if !name.IsExported() && shallowImmutable(t, map[types.Type]bool{}) && !written[obj] {
+	// so they cannot earn this exemption). Atomics are struct-of-basics in
+	// shape but written through their methods, which the write scan cannot
+	// see, so they never qualify.
+	if !name.IsExported() && declaredIn(t) != "sync/atomic" &&
+		shallowImmutable(t, map[types.Type]bool{}) && !written[obj] {
 		return true
 	}
 	return false
@@ -142,14 +147,14 @@ func isError(t types.Type) bool {
 	return ok && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
 }
 
-// isSyncType reports whether t is declared in sync or sync/atomic.
-func isSyncType(t types.Type) bool {
+// declaredIn returns the path of the package declaring named type t ("" for
+// unnamed and universe types).
+func declaredIn(t types.Type) string {
 	named, ok := t.(*types.Named)
 	if !ok || named.Obj().Pkg() == nil {
-		return false
+		return ""
 	}
-	p := named.Obj().Pkg().Path()
-	return p == "sync" || p == "sync/atomic"
+	return named.Obj().Pkg().Path()
 }
 
 // shallowImmutable reports whether a value of type t exposes no mutable

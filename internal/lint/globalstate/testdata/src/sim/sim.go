@@ -28,7 +28,16 @@ var mu sync.Mutex
 
 var once sync.Once
 
-var total atomic.Uint64
+var wg sync.WaitGroup
+
+// Atomics are race-free but still process-wide mutable state: a counter
+// every platform bumps, or a run-mode toggle flipped by one caller and
+// seen by all.
+var total atomic.Uint64 // want "package-level mutable var total"
+
+var cloneOff atomic.Bool // want "package-level mutable var cloneOff"
+
+func setCloning(on bool) { cloneOff.Store(!on) }
 
 // Error sentinels are immutable by convention.
 var ErrStalled = errors.New("sim: stalled")

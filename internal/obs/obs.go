@@ -372,10 +372,10 @@ func (t *Tracer) Reset() {
 // PlatformObs is one platform's observability handles inside a Collector.
 type PlatformObs struct {
 	Label   string
-	Trace   *Tracer  // nil when the collector was attached metrics-only
+	Trace   *Tracer // nil when the collector was attached metrics-only
 	Metrics *Registry
-	Sampler *Sampler  // nil unless time-series sampling is armed (hv.SampleAll)
-	Profile *Profiler // nil unless utilization profiling is armed (hv.ProfileAll)
+	Sampler *Sampler  // nil unless time-series sampling is armed (hv.Config.Sample)
+	Profile *Profiler // nil unless utilization profiling is armed (hv.Config.Profile)
 }
 
 // Collector gathers the per-platform tracers and registries of a multi-

@@ -59,6 +59,8 @@ type event struct {
 // process (all goroutines). Kernels flush to it in batches at the end of
 // each Run/RunUntil/RunWhile/Step so the per-event hot path stays free of
 // atomics; see EventsExecuted.
+//
+//optimus:global-ok write-only throughput counter for benchmark drivers; no simulation reads it, so it cannot couple platforms
 var executedTotal atomic.Uint64
 
 // EventsExecuted returns the process-wide count of simulation events
