@@ -9,7 +9,7 @@ import (
 	"log"
 
 	"optimus"
-	"optimus/internal/accel"
+	"optimus/internal/exp"
 	"optimus/internal/hv"
 	"optimus/internal/sim"
 )
@@ -29,57 +29,28 @@ func main() {
 }
 
 func run(name string, policy hv.Policy) {
-	h, err := optimus.New(optimus.Config{
-		Accels:    []string{"MB", "MB"},
-		TimeSlice: 1 * sim.Millisecond,
-	})
+	// The whole run is one declarative scenario: every tenant gets a VM, a
+	// process and a vaccel on its slot, a preemption state buffer, and a
+	// MemBench job that runs until preempted.
+	sc := exp.Scenario{
+		Config: optimus.Config{Accels: []string{"MB", "MB"}, TimeSlice: 1 * sim.Millisecond},
+		Policy: policy,
+	}
+	weights := []int{4, 2, 1}
+	for i := 0; i < 6; i++ {
+		sc.Tenants = append(sc.Tenants, exp.Tenant{
+			Slot:     i % 2,
+			Job:      exp.Job{App: "MB", Size: 16 << 20, WritePct: 20, Seed: uint64(i)},
+			Weight:   weights[i/2],
+			Priority: 3 - i/2,
+			StateBuf: exp.StateBufFirst,
+		})
+	}
+	p, err := exp.NewSession(exp.Options{}).Launch(sc)
 	if err != nil {
 		log.Fatal(err)
 	}
-	h.Scheduler(0).SetPolicy(policy)
-	h.Scheduler(1).SetPolicy(policy)
-
-	type tenantInfo struct {
-		dev  *optimus.Device
-		va   *optimus.VAccel
-		slot int
-	}
-	var tenants []tenantInfo
-	weights := []int{4, 2, 1}
-	for i := 0; i < 6; i++ {
-		slot := i % 2
-		vm, err := h.NewVM(fmt.Sprintf("tenant-%d", i), 10<<30)
-		if err != nil {
-			log.Fatal(err)
-		}
-		proc := vm.NewProcess()
-		va, err := h.NewVAccel(proc, slot)
-		if err != nil {
-			log.Fatal(err)
-		}
-		va.SetWeight(weights[i/2])
-		va.SetPriority(3 - i/2)
-		dev, err := optimus.OpenDevice(proc, va)
-		if err != nil {
-			log.Fatal(err)
-		}
-		buf, err := dev.AllocDMA(16 << 20)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if _, err := dev.SetupStateBuffer(); err != nil {
-			log.Fatal(err)
-		}
-		dev.RegWrite(accel.MBArgBase, uint64(buf.Addr))
-		dev.RegWrite(accel.MBArgSize, buf.Size)
-		dev.RegWrite(accel.MBArgBursts, 0) // run until preempted
-		dev.RegWrite(accel.MBArgWritePct, 20)
-		dev.RegWrite(accel.MBArgSeed, uint64(i))
-		if err := dev.Start(); err != nil {
-			log.Fatal(err)
-		}
-		tenants = append(tenants, tenantInfo{dev: dev, va: va, slot: slot})
-	}
+	h := p.H
 
 	const window = 30 * sim.Millisecond
 	h.K.RunFor(window)
@@ -87,11 +58,11 @@ func run(name string, policy hv.Policy) {
 	fmt.Printf("\n=== %s ===\n", name)
 	fmt.Printf("(30 ms window, 1 ms slices, 2 physical x 3 virtual accelerators)\n")
 	fmt.Printf("%-10s %-5s %-10s %-7s %-12s %-7s\n", "tenant", "slot", "weight", "prio", "work (MB)", "share")
-	for i, tn := range tenants {
-		occ := tn.va.Runtime()
-		share := 100 * float64(occ) / float64(window)
+	for i, t := range sc.Tenants {
+		va := p.VAccel(i)
+		share := 100 * float64(va.Runtime()) / float64(window)
 		fmt.Printf("tenant-%-3d %-5d %-10d %-7d %-12.1f %5.1f%%\n",
-			i, tn.slot, weights[i/2], 3-i/2, float64(tn.va.WorkDone())/1e6, share)
+			i, t.Slot, t.Weight, t.Priority, float64(va.WorkDone())/1e6, share)
 	}
 	fmt.Printf("context switches: slot0=%d slot1=%d, forced resets: %d\n",
 		h.Scheduler(0).Switches(), h.Scheduler(1).Switches(), h.Stats().ForcedResets)

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"optimus/internal/accel"
 	"optimus/internal/ccip"
 	"optimus/internal/fpga"
 	"optimus/internal/iommu"
@@ -54,21 +53,16 @@ func (s *Session) GuardAblation() (*Table, error) {
 func (s *Session) guardPoint(perJob uint64, disableGuard bool, window sim.Time) (float64, error) {
 	cfg := optimusEight("MB")
 	cfg.DisableGuard = disableGuard
-	h, tenants, err := s.spatialPlatform(cfg, 8)
+	p, err := s.spatial(cfg, 8, nil)
 	if err != nil {
 		return 0, err
 	}
+	h := p.H
 	h.Mem.SetDiscardWrites(true)
-	for i, tn := range tenants {
-		buf, err := tn.dev.AllocDMA(perJob)
-		if err != nil {
+	for i, tn := range p.tenants {
+		if err := programJob(tn.dev, Job{App: "MB", Size: perJob, Seed: uint64(i) + 17}, NoStateBuf); err != nil {
 			return 0, err
 		}
-		tn.dev.RegWrite(accel.MBArgBase, uint64(buf.Addr))
-		tn.dev.RegWrite(accel.MBArgSize, perJob)
-		tn.dev.RegWrite(accel.MBArgBursts, 0)
-		tn.dev.RegWrite(accel.MBArgWritePct, 0)
-		tn.dev.RegWrite(accel.MBArgSeed, uint64(i)+17)
 		if err := tn.dev.Start(); err != nil {
 			return 0, err
 		}
@@ -123,22 +117,17 @@ func (s *Session) iommuPoint(ws uint64, integrated bool, window sim.Time) (float
 	shell := ccip.DefaultConfig()
 	shell.IOMMU = iommu.Config{Integrated: integrated, SpeculativeRegion: true}
 	cfg.Shell = &shell
-	h, tenants, err := s.spatialPlatform(cfg, 8)
+	p, err := s.spatial(cfg, 8, nil)
 	if err != nil {
 		return 0, err
 	}
+	h := p.H
 	h.Mem.SetDiscardWrites(true)
 	perJob := ws / 8
-	for i, tn := range tenants {
-		buf, err := tn.dev.AllocDMA(perJob)
-		if err != nil {
+	for i, tn := range p.tenants {
+		if err := programJob(tn.dev, Job{App: "MB", Size: perJob, Seed: uint64(i) + 23}, NoStateBuf); err != nil {
 			return 0, err
 		}
-		tn.dev.RegWrite(accel.MBArgBase, uint64(buf.Addr))
-		tn.dev.RegWrite(accel.MBArgSize, perJob)
-		tn.dev.RegWrite(accel.MBArgBursts, 0)
-		tn.dev.RegWrite(accel.MBArgWritePct, 0)
-		tn.dev.RegWrite(accel.MBArgSeed, uint64(i)+23)
 		if err := tn.dev.Start(); err != nil {
 			return 0, err
 		}
@@ -178,20 +167,14 @@ func (s *Session) MuxArityAblation() (*Table, error) {
 		c := cases[i]
 		cfg := optimusEight("LL")
 		cfg.Monitor.Topology = c.topo
-		h, tenants, err := s.spatialPlatform(cfg, 1)
+		p, err := s.spatial(cfg, 1, nil)
 		if err != nil {
 			return err
 		}
-		tn := tenants[0]
-		buf, err := tn.dev.AllocDMA(uint64(nodes) * 256)
-		if err != nil {
+		h, tn := p.H, p.tenants[0]
+		if err := programJob(tn.dev, Job{App: "LL", Size: uint64(nodes) * 256, Nodes: nodes, Seed: 1}, NoStateBuf); err != nil {
 			return err
 		}
-		head, _, err := tn.dev.BuildList(buf, nodes, 1)
-		if err != nil {
-			return err
-		}
-		tn.dev.RegWrite(accel.LLArgHead, head)
 		h.Phy(0).Accel.SetChannel(ccip.VCUPI)
 		if err := tn.dev.Start(); err != nil {
 			return err

@@ -68,28 +68,15 @@ func (s *Session) chaosPoint(rate uint32, window sim.Time) ([]string, error) {
 			DupPPM:     rate,
 		}
 	}
-	h, err := s.platform(cfg)
+	sc := Scenario{Config: cfg}
+	for i := 0; i < 4; i++ {
+		sc.Tenants = append(sc.Tenants, Tenant{Slot: i % 2, Job: appJob("MB", 4<<20, uint64(1000+i)), StateBuf: StateBufLast})
+	}
+	p, err := s.Launch(sc)
 	if err != nil {
 		return nil, err
 	}
-	const nTenants = 4
-	tenants := make([]*tenant, nTenants)
-	for i := range tenants {
-		tn, err := newTenant(h, i%2)
-		if err != nil {
-			return nil, err
-		}
-		tenants[i] = tn
-		if _, err := s.provisionJob(tn, "MB", 4<<20, uint64(1000+i)); err != nil {
-			return nil, err
-		}
-		if _, err := tn.dev.SetupStateBuffer(); err != nil {
-			return nil, err
-		}
-		if err := tn.dev.Start(); err != nil {
-			return nil, err
-		}
-	}
+	h := p.H
 	h.K.RunFor(window)
 
 	// Goodput is measured at the window edge; then injection stops and the
@@ -97,9 +84,9 @@ func (s *Session) chaosPoint(rate uint32, window sim.Time) ([]string, error) {
 	// checked at quiescence (no injected fault still mid-recovery).
 	var work uint64
 	failed := 0
-	for _, tn := range tenants {
-		work += tn.dev.VAccel().WorkDone()
-		if tn.dev.VAccel().Failed() != nil {
+	for i := range sc.Tenants {
+		work += p.VAccel(i).WorkDone()
+		if p.VAccel(i).Failed() != nil {
 			failed++
 		}
 	}
@@ -107,12 +94,12 @@ func (s *Session) chaosPoint(rate uint32, window sim.Time) ([]string, error) {
 	h.Chaos().Disarm()
 	h.K.RunFor(50 * sim.Microsecond)
 
-	p := h.Chaos()
-	if p == nil { // baseline row
+	plan := h.Chaos()
+	if plan == nil { // baseline row
 		return []string{"0", "0", "0", "0",
 			fmt.Sprintf("%d", failed), fmt.Sprintf("%.2f", goodput), "-", "-", "-"}, nil
 	}
-	st := p.Stats()
+	st := plan.Stats()
 	if st.DupsSuppressed != st.Injected[chaos.ClassDup] {
 		return nil, fmt.Errorf("duplicate completion leaked: %d injected, %d suppressed",
 			st.Injected[chaos.ClassDup], st.DupsSuppressed)
@@ -122,7 +109,7 @@ func (s *Session) chaosPoint(rate uint32, window sim.Time) ([]string, error) {
 			st.TotalInjected(), st.Recovered, st.Exhausted)
 	}
 	us := func(d sim.Time) string { return fmt.Sprintf("%.2f", d.Seconds()*1e6) }
-	pct := p.Recovery().Percentiles(50, 95, 99)
+	pct := plan.Recovery().Percentiles(50, 95, 99)
 	return []string{
 		fmt.Sprintf("%d", rate),
 		fmt.Sprintf("%d", st.TotalInjected()),

@@ -79,14 +79,13 @@ func TestFig4CritPathGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := NewSession(Options{}).provisionJob(tnA, "AES", 256<<10, 1)
-	if err != nil {
+	if err := NewSession(Options{}).provisionJob(tnA, appJob("AES", 256<<10, 1), NoStateBuf); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.dev.dev.Start(); err != nil {
+	if err := tnA.dev.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.dev.dev.Wait(); err != nil {
+	if err := tnA.dev.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	repAES := critPathReport(t, &out, "fig4b AES optimus", hAES)

@@ -88,10 +88,18 @@ func (t *Table) Render(w io.Writer) {
 }
 
 // tenant is one guest VM and its device (in a process of its own) bound to
-// a physical slot.
+// a physical slot, plus what provisionJob recorded about the device's job.
 type tenant struct {
-	vm  *hv.VM
-	dev *guest.Device
+	vm      *hv.VM
+	dev     *guest.Device
+	standby *guest.Device // elastic standby (Tenant.Standby), or nil
+	// work is the job's useful work per run (for throughput metrics); 0
+	// marks a free-running job measured through WorkDone.
+	work uint64
+	// completeOnly marks jobs whose progress counter uses different units
+	// than work (SSSP counts relaxations): they are measured by running to
+	// completion rather than by windowed sampling.
+	completeOnly bool
 }
 
 func newTenant(h *hv.Hypervisor, slot int) (*tenant, error) {
@@ -111,194 +119,164 @@ func newTenant(h *hv.Hypervisor, slot int) (*tenant, error) {
 	return &tenant{vm: vm, dev: dev}, nil
 }
 
-// job provisions one accelerator job: inputs written, registers programmed.
-// work reports the job's useful bytes (for throughput metrics).
-type job struct {
-	dev  *tenant
-	work uint64
-	// completeOnly marks jobs whose progress counter uses different units
-	// than work (SSSP counts relaxations): they are measured by running to
-	// completion rather than by windowed sampling.
-	completeOnly bool
+// appJob is the representative job for app over size input bytes: at least
+// 1 MB of MemBench working set, one LinkedList node per 256 bytes, and the
+// other applications sized by provisionJob.
+func appJob(app string, size, seed uint64) Job {
+	j := Job{App: app, Size: size, Seed: seed}
+	switch app {
+	case "MB":
+		j.Size = max(size, 1<<20)
+	case "LL":
+		j.Nodes = int(size / 256)
+	}
+	return j
 }
 
-// provisionJob prepares a representative job for app on the tenant, sized
-// by inputBytes (line-aligned). It returns the job descriptor.
-func (s *Session) provisionJob(tn *tenant, app string, inputBytes uint64, seed uint64) (*job, error) {
+// provisionJob prepares j on the tenant's device — inputs written,
+// registers programmed, the state buffer set up where sb places it — and
+// records the job's work on the tenant.
+func (s *Session) provisionJob(tn *tenant, j Job, sb StateBuf) error {
 	d := tn.dev
+	inputBytes, seed := j.Size, j.Seed
 	rng := sim.NewRand(seed ^ 0xbead)
-	j := &job{dev: tn, work: inputBytes}
+	tn.work = inputBytes
 	fill := func(buf guest.Buffer, n uint64) error {
 		data := make([]byte, n)
 		rng.Fill(data)
 		return d.Write(buf, 0, data)
 	}
-	switch app {
+	var err error
+	switch j.App {
+	case "":
+		tn.work = 0
+		return nil
+	case "MB", "LL":
+		tn.work = uint64(j.Nodes) // MB: 0, measured via WorkDone
+		return programJob(d, j, sb)
 	case "AES", "MD5", "SHA", "FIR":
-		src, err := d.AllocDMA(inputBytes)
-		if err != nil {
-			return nil, err
+		var src, dst guest.Buffer
+		if src, err = d.AllocDMA(inputBytes); err != nil {
+			return err
 		}
-		dst, err := d.AllocDMA(inputBytes)
-		if err != nil {
-			return nil, err
+		if dst, err = d.AllocDMA(inputBytes); err != nil {
+			return err
 		}
 		if err := fill(src, inputBytes); err != nil {
-			return nil, err
+			return err
 		}
-		d.RegWrite(accel.XFArgSrc, uint64(src.Addr))
-		d.RegWrite(accel.XFArgDst, uint64(dst.Addr))
-		d.RegWrite(accel.XFArgLen, inputBytes)
-		switch app {
+		if err := writeRegs(d, reg{accel.XFArgSrc, uint64(src.Addr)}, reg{accel.XFArgDst, uint64(dst.Addr)},
+			reg{accel.XFArgLen, inputBytes}); err != nil {
+			return err
+		}
+		switch j.App {
 		case "AES":
-			key, err := d.AllocDMA(64)
-			if err != nil {
-				return nil, err
+			var key guest.Buffer
+			if key, err = d.AllocDMA(64); err != nil {
+				return err
 			}
-			fill(key, 64)
-			d.RegWrite(accel.XFArgParam, uint64(key.Addr))
+			if err := fill(key, 64); err != nil {
+				return err
+			}
+			err = d.RegWrite(accel.XFArgParam, uint64(key.Addr))
 		case "FIR":
-			d.RegWrite(accel.XFArgParam, 16)
+			err = d.RegWrite(accel.XFArgParam, 16)
 		}
 	case "GRN":
-		dst, err := d.AllocDMA(inputBytes)
-		if err != nil {
-			return nil, err
+		var dst guest.Buffer
+		if dst, err = d.AllocDMA(inputBytes); err != nil {
+			return err
 		}
-		d.RegWrite(accel.GRNArgDst, uint64(dst.Addr))
-		d.RegWrite(accel.GRNArgBytes, inputBytes)
-		d.RegWrite(accel.GRNArgSeed, seed)
-		d.RegWrite(accel.GRNArgStddev, 1<<12)
+		err = writeRegs(d, reg{accel.GRNArgDst, uint64(dst.Addr)}, reg{accel.GRNArgBytes, inputBytes},
+			reg{accel.GRNArgSeed, seed}, reg{accel.GRNArgStddev, 1 << 12})
 	case "RSD":
-		count := inputBytes / accel.RSDSlot
-		if count == 0 {
-			count = 1
+		count := max(inputBytes/accel.RSDSlot, 1)
+		var src, dst guest.Buffer
+		if src, err = d.AllocDMA(count * accel.RSDSlot); err != nil {
+			return err
 		}
-		src, err := d.AllocDMA(count * accel.RSDSlot)
-		if err != nil {
-			return nil, err
-		}
-		dst, err := d.AllocDMA(count * accel.RSDSlot)
-		if err != nil {
-			return nil, err
+		if dst, err = d.AllocDMA(count * accel.RSDSlot); err != nil {
+			return err
 		}
 		// Valid codewords with correctable corruption.
 		if err := writeCodewords(d, src, int(count), rng); err != nil {
-			return nil, err
+			return err
 		}
-		d.RegWrite(accel.RSDArgSrc, uint64(src.Addr))
-		d.RegWrite(accel.RSDArgDst, uint64(dst.Addr))
-		d.RegWrite(accel.RSDArgCount, count)
-		j.work = count * accel.RSDSlot
+		err = writeRegs(d, reg{accel.RSDArgSrc, uint64(src.Addr)}, reg{accel.RSDArgDst, uint64(dst.Addr)},
+			reg{accel.RSDArgCount, count})
+		tn.work = count * accel.RSDSlot
 	case "SW":
 		const seqLen = 2048
-		pairs := inputBytes / (2 * seqLen)
-		if pairs == 0 {
-			pairs = 1
+		pairs := max(inputBytes/(2*seqLen), 1)
+		var a, b guest.Buffer
+		if a, err = d.AllocDMA(pairs * seqLen); err != nil {
+			return err
 		}
-		a, err := d.AllocDMA(pairs * seqLen)
-		if err != nil {
-			return nil, err
+		if b, err = d.AllocDMA(pairs * seqLen); err != nil {
+			return err
 		}
-		b, err := d.AllocDMA(pairs * seqLen)
-		if err != nil {
-			return nil, err
+		if err := fill(a, pairs*seqLen); err != nil {
+			return err
 		}
-		fill(a, pairs*seqLen)
-		fill(b, pairs*seqLen)
-		d.RegWrite(accel.SWArgSeqA, uint64(a.Addr))
-		d.RegWrite(accel.SWArgLenA, seqLen)
-		d.RegWrite(accel.SWArgSeqB, uint64(b.Addr))
-		d.RegWrite(accel.SWArgLenB, seqLen)
-		d.RegWrite(accel.SWArgPairs, pairs)
-		j.work = pairs // alignments
+		if err := fill(b, pairs*seqLen); err != nil {
+			return err
+		}
+		err = writeRegs(d, reg{accel.SWArgSeqA, uint64(a.Addr)}, reg{accel.SWArgLenA, seqLen},
+			reg{accel.SWArgSeqB, uint64(b.Addr)}, reg{accel.SWArgLenB, seqLen}, reg{accel.SWArgPairs, pairs})
+		tn.work = pairs // alignments
 	case "GAU", "SBL", "GRS":
 		width := uint64(1024)
 		chans := uint64(1)
-		if app == "GRS" {
+		if j.App == "GRS" {
 			chans = 3
 		}
-		height := inputBytes / (width * chans)
-		if height < 8 {
-			height = 8
+		height := max(inputBytes/(width*chans), 8)
+		var src, dst guest.Buffer
+		if src, err = d.AllocDMA(width * chans * height); err != nil {
+			return err
 		}
-		src, err := d.AllocDMA(width * chans * height)
-		if err != nil {
-			return nil, err
+		if dst, err = d.AllocDMA(width * height); err != nil {
+			return err
 		}
-		dst, err := d.AllocDMA(width * height)
-		if err != nil {
-			return nil, err
+		if err := fill(src, width*chans*height); err != nil {
+			return err
 		}
-		fill(src, width*chans*height)
-		d.RegWrite(accel.ImgArgSrc, uint64(src.Addr))
-		d.RegWrite(accel.ImgArgDst, uint64(dst.Addr))
-		d.RegWrite(accel.ImgArgWidth, width)
-		d.RegWrite(accel.ImgArgHeight, height)
-		j.work = width * chans * height
+		err = writeRegs(d, reg{accel.ImgArgSrc, uint64(src.Addr)}, reg{accel.ImgArgDst, uint64(dst.Addr)},
+			reg{accel.ImgArgWidth, width}, reg{accel.ImgArgHeight, height})
+		tn.work = width * chans * height
 	case "SSSP":
-		vertices := int(inputBytes / 256)
-		if vertices < 256 {
-			vertices = 256
-		}
+		vertices := max(int(inputBytes/256), 256)
 		edges := vertices * 8
-		if err := layoutSSSPJob(tn, s.graph(vertices, edges, seed), 0); err != nil {
-			return nil, err
-		}
-		j.work = uint64(edges) * 8
-		j.completeOnly = true
+		err = layoutSSSPJob(tn, s.graph(vertices, edges, seed), 0)
+		tn.work = uint64(edges) * 8
+		tn.completeOnly = true
 	case "BTC":
-		header, err := d.AllocDMA(128)
-		if err != nil {
-			return nil, err
+		var header, target guest.Buffer
+		if header, err = d.AllocDMA(128); err != nil {
+			return err
 		}
-		target, err := d.AllocDMA(64)
-		if err != nil {
-			return nil, err
+		if target, err = d.AllocDMA(64); err != nil {
+			return err
 		}
-		fill(header, 128)
+		if err := fill(header, 128); err != nil {
+			return err
+		}
 		// Impossible target: scans the whole range (fixed work).
-		zero := make([]byte, 64)
-		d.Write(target, 0, zero)
-		d.RegWrite(accel.BTCArgHeader, uint64(header.Addr))
-		d.RegWrite(accel.BTCArgTarget, uint64(target.Addr))
-		d.RegWrite(accel.BTCArgStart, 0)
-		nonces := inputBytes / 8
-		if nonces < 4096 {
-			nonces = 4096
+		if err := d.Write(target, 0, make([]byte, 64)); err != nil {
+			return err
 		}
-		d.RegWrite(accel.BTCArgCount, nonces)
-		j.work = nonces // hashes
-	case "MB":
-		ws := inputBytes
-		if ws < 1<<20 {
-			ws = 1 << 20
-		}
-		buf, err := d.AllocDMA(ws)
-		if err != nil {
-			return nil, err
-		}
-		d.RegWrite(accel.MBArgBase, uint64(buf.Addr))
-		d.RegWrite(accel.MBArgSize, ws)
-		d.RegWrite(accel.MBArgBursts, 0) // until stopped
-		d.RegWrite(accel.MBArgWritePct, 0)
-		d.RegWrite(accel.MBArgSeed, seed)
-		j.work = 0 // measured via WorkDone
-	case "LL":
-		buf, err := d.AllocDMA(inputBytes)
-		if err != nil {
-			return nil, err
-		}
-		head, _, err := d.BuildList(buf, int(inputBytes/256), seed)
-		if err != nil {
-			return nil, err
-		}
-		d.RegWrite(accel.LLArgHead, head)
-		j.work = inputBytes / 256
+		nonces := max(inputBytes/8, 4096)
+		err = writeRegs(d, reg{accel.BTCArgHeader, uint64(header.Addr)}, reg{accel.BTCArgTarget, uint64(target.Addr)},
+			reg{accel.BTCArgStart, 0}, reg{accel.BTCArgCount, nonces})
+		tn.work = nonces // hashes
 	default:
-		return nil, fmt.Errorf("exp: no job template for %q", app)
+		return fmt.Errorf("exp: no job template for %q", j.App)
 	}
-	return j, nil
+	if err != nil || sb == NoStateBuf {
+		return err
+	}
+	_, err = d.SetupStateBuffer()
+	return err
 }
 
 // writeCodewords fills src with encoded-and-corrupted RS(255,223) slots.

@@ -107,14 +107,14 @@ func TestProvisionJobAllApps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.provisionJob(tn, app, 1<<20, 1); err != nil {
+		if err := s.provisionJob(tn, appJob(app, 1<<20, 1), NoStateBuf); err != nil {
 			t.Fatalf("%s: %v", app, err)
 		}
 	}
 	// Unknown app rejected.
 	h, _ := hv.New(hv.Config{Accels: []string{"LL"}})
 	tn, _ := newTenant(h, 0)
-	if _, err := s.provisionJob(tn, "NOPE", 1<<20, 1); err == nil {
+	if err := s.provisionJob(tn, appJob("NOPE", 1<<20, 1), NoStateBuf); err == nil {
 		t.Fatal("unknown app accepted")
 	}
 }
@@ -131,11 +131,10 @@ func TestSingleJobRunsToCompletion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j, err := s.provisionJob(tn, app, 1<<20, 2)
-		if err != nil {
+		if err := s.provisionJob(tn, appJob(app, 1<<20, 2), NoStateBuf); err != nil {
 			t.Fatal(err)
 		}
-		elapsed, err := runJobsToCompletion(h, []*job{j})
+		elapsed, err := runJobsToCompletion(h, []*tenant{tn})
 		if err != nil {
 			t.Fatalf("%s: %v", app, err)
 		}
@@ -155,11 +154,10 @@ func TestMeasureAggregatePositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := s.provisionJob(tn, "GRN", 1<<20, 1)
-	if err != nil {
+	if err := s.provisionJob(tn, appJob("GRN", 1<<20, 1), NoStateBuf); err != nil {
 		t.Fatal(err)
 	}
-	agg, err := measureAggregate(h, []*job{j}, sim.Millisecond)
+	agg, err := measureAggregate(h, []*tenant{tn}, sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"optimus/internal/accel"
 	"optimus/internal/hv"
 	"optimus/internal/sim"
 )
@@ -45,36 +44,24 @@ func (s *Session) Table3() (*Table, error) {
 }
 
 func (s *Session) table3Point(app string, size uint64, window sim.Time) (float64, error) {
-	// All eight instances run the identical job (same seed, Stride 0) so
-	// any throughput spread comes from the multiplexer, not the inputs.
-	// Provisioning lives inside the warm template (see spatialJobs).
-	h, jobs, err := s.spatialJobs(optimusEight(app), 8,
-		jobSpec{App: app, Size: size, Seed: 1, Stride: 0})
+	// All eight instances run the identical job (same seed) so any
+	// throughput spread comes from the multiplexer, not the inputs.
+	// Provisioning lives inside the warm template (see Session.spatial).
+	p, err := s.spatial(optimusEight(app), 8, func(int) Job { return appJob(app, size, 1) })
 	if err != nil {
 		return 0, err
 	}
-	totals := make([]func() uint64, 8)
+	h := p.H
 	deadline := h.K.Now() + window
-	for i, j := range jobs {
-		tn := j.dev
-		if j.work == 0 {
-			if err := tn.dev.Start(); err != nil {
-				return 0, err
-			}
-			dev := tn.dev
-			totals[i] = func() uint64 {
-				w, _ := dev.WorkDone()
-				return w
-			}
-		} else {
-			totals[i] = repeatRunner(h, tn, j.work, deadline)
-		}
+	totals, err := startWindowed(h, p.tenants, deadline)
+	if err != nil {
+		return 0, err
 	}
 	h.K.RunUntil(deadline)
 	var min, max, sum float64
 	min = 1e300
 	for i := range totals {
-		if err := jobs[i].dev.dev.VAccel().Failed(); err != nil {
+		if err := p.VAccel(i).Failed(); err != nil {
 			return 0, err
 		}
 		v := float64(totals[i]())
@@ -149,11 +136,9 @@ func (s *Session) table4MBThroughput(other string, otherSlot int, window sim.Tim
 	if err != nil {
 		return 0, err
 	}
-	jmb, err := s.provisionJob(mb, "MB", 16<<20, 42)
-	if err != nil {
+	if err := s.provisionJob(mb, appJob("MB", 16<<20, 42), NoStateBuf); err != nil {
 		return 0, err
 	}
-	_ = jmb
 	if err := mb.dev.Start(); err != nil {
 		return 0, err
 	}
@@ -163,16 +148,11 @@ func (s *Session) table4MBThroughput(other string, otherSlot int, window sim.Tim
 		if err != nil {
 			return 0, err
 		}
-		j, err := s.provisionJob(tn, other, size, 7)
-		if err != nil {
+		if err := s.provisionJob(tn, appJob(other, size, 7), NoStateBuf); err != nil {
 			return 0, err
 		}
-		if j.work == 0 {
-			if err := tn.dev.Start(); err != nil {
-				return 0, err
-			}
-		} else {
-			repeatRunner(h, tn, j.work, deadline)
+		if _, err := startWindowed(h, []*tenant{tn}, deadline); err != nil {
+			return 0, err
 		}
 	}
 	// Warm up briefly, then measure MB's own counters.
@@ -216,46 +196,29 @@ func (s *Session) SchedFairness() (*Table, error) {
 	err := s.points(len(specs), func(si int) error {
 		sp := specs[si]
 		n := len(sp.expected)
-		h, err := s.platform(hv.Config{Accels: []string{"MB"}, TimeSlice: slice})
+		sc := Scenario{Config: hv.Config{Accels: []string{"MB"}, TimeSlice: slice}, Policy: sp.policy}
+		for i := 0; i < n; i++ {
+			t := Tenant{Job: Job{App: "MB", Size: 8 << 20, WritePct: KeepWritePct, Seed: uint64(i)}, StateBuf: StateBufFirst}
+			if sp.weights != nil {
+				t.Weight = sp.weights[i]
+			}
+			if sp.priority != nil {
+				t.Priority = sp.priority[i]
+			}
+			sc.Tenants = append(sc.Tenants, t)
+		}
+		p, err := s.Launch(sc)
 		if err != nil {
 			return err
 		}
-		h.Scheduler(0).SetPolicy(sp.policy)
-		tenants := make([]*tenant, n)
-		for i := 0; i < n; i++ {
-			tn, err := newTenant(h, 0)
-			if err != nil {
-				return err
-			}
-			tenants[i] = tn
-			buf, err := tn.dev.AllocDMA(8 << 20)
-			if err != nil {
-				return err
-			}
-			if _, err := tn.dev.SetupStateBuffer(); err != nil {
-				return err
-			}
-			tn.dev.RegWrite(accel.MBArgBase, uint64(buf.Addr))
-			tn.dev.RegWrite(accel.MBArgSize, buf.Size)
-			tn.dev.RegWrite(accel.MBArgBursts, 0)
-			tn.dev.RegWrite(accel.MBArgSeed, uint64(i))
-			if sp.weights != nil {
-				tn.dev.VAccel().SetWeight(sp.weights[i])
-			}
-			if sp.priority != nil {
-				tn.dev.VAccel().SetPriority(sp.priority[i])
-			}
-			if err := tn.dev.Start(); err != nil {
-				return err
-			}
-		}
+		h := p.H
 		h.K.RunFor(window)
 		var total sim.Time
-		for _, tn := range tenants {
-			total += tn.dev.VAccel().Runtime()
+		for i := 0; i < n; i++ {
+			total += p.VAccel(i).Runtime()
 		}
-		for i, tn := range tenants {
-			share := float64(tn.dev.VAccel().Runtime()) / float64(total)
+		for i := 0; i < n; i++ {
+			share := float64(p.VAccel(i).Runtime()) / float64(total)
 			dev := share - sp.expected[i]
 			if dev < 0 {
 				dev = -dev

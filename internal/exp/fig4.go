@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"optimus/internal/accel"
 	"optimus/internal/ccip"
 	"optimus/internal/hv"
 	"optimus/internal/sim"
@@ -67,6 +66,9 @@ func (s *Session) Fig4a() (*Table, error) {
 // llMeanLatency runs one LinkedList walk on slot 0 and returns the mean
 // DMA latency observed by the accelerator.
 func (s *Session) llMeanLatency(cfg hv.Config, ch ccip.Channel, nodes int, wsBytes uint64) (sim.Time, error) {
+	if wsBytes == 0 {
+		wsBytes = uint64(nodes) * 256
+	}
 	h, err := s.platform(cfg)
 	if err != nil {
 		return 0, err
@@ -75,18 +77,9 @@ func (s *Session) llMeanLatency(cfg hv.Config, ch ccip.Channel, nodes int, wsByt
 	if err != nil {
 		return 0, err
 	}
-	if wsBytes == 0 {
-		wsBytes = uint64(nodes) * 256
-	}
-	buf, err := tn.dev.AllocDMA(wsBytes)
-	if err != nil {
+	if err := programJob(tn.dev, Job{App: "LL", Size: wsBytes, Nodes: nodes, Seed: 1}, NoStateBuf); err != nil {
 		return 0, err
 	}
-	head, _, err := tn.dev.BuildList(buf, nodes, 1)
-	if err != nil {
-		return 0, err
-	}
-	tn.dev.RegWrite(accel.LLArgHead, head)
 	h.Phy(0).Accel.SetChannel(ch)
 	if err := tn.dev.Start(); err != nil {
 		return 0, err
@@ -149,9 +142,8 @@ func (s *Session) singleJobThroughput(cfg hv.Config, app string, size uint64, wi
 	if err != nil {
 		return 0, err
 	}
-	j, err := s.provisionJob(tn, app, size, 1)
-	if err != nil {
+	if err := s.provisionJob(tn, appJob(app, size, 1), NoStateBuf); err != nil {
 		return 0, err
 	}
-	return measureAggregate(h, []*job{j}, window)
+	return measureAggregate(h, []*tenant{tn}, window)
 }

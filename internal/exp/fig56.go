@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"optimus/internal/accel"
 	"optimus/internal/ccip"
 	"optimus/internal/mem"
 	"optimus/internal/sim"
@@ -77,10 +76,11 @@ func (s *Session) Fig5(pageSize uint64, ch ccip.Channel) (*Table, error) {
 func (s *Session) llLatencyPoint(pageSize uint64, ch ccip.Channel, n int, ws uint64, nodes int) (sim.Time, error) {
 	cfg := optimusEight("LL")
 	cfg.PageSize = pageSize
-	h, tenants, err := s.spatialPlatform(cfg, n)
+	p, err := s.spatial(cfg, n, nil)
 	if err != nil {
 		return 0, err
 	}
+	h := p.H
 	perJob := ws / uint64(n)
 	if perJob < uint64(nodes)*64 {
 		nodes = int(perJob / 64)
@@ -89,16 +89,10 @@ func (s *Session) llLatencyPoint(pageSize uint64, ch ccip.Channel, n int, ws uin
 		}
 	}
 	remaining := n
-	for i, tn := range tenants {
-		buf, err := tn.dev.AllocDMA(perJob)
-		if err != nil {
+	for i, tn := range p.tenants {
+		if err := programJob(tn.dev, Job{App: "LL", Size: perJob, Nodes: nodes, Seed: uint64(i) + 3}, NoStateBuf); err != nil {
 			return 0, err
 		}
-		head, _, err := tn.dev.BuildList(buf, nodes, uint64(i)+3)
-		if err != nil {
-			return 0, err
-		}
-		tn.dev.RegWrite(accel.LLArgHead, head)
 		h.Phy(i).Accel.SetChannel(ch)
 		if err := tn.dev.Start(); err != nil {
 			return 0, err
@@ -176,10 +170,11 @@ func (s *Session) Fig6(pageSize uint64, writes bool) (*Table, error) {
 func (s *Session) mbThroughputPoint(pageSize uint64, n int, ws uint64, writes bool, window sim.Time) (float64, error) {
 	cfg := optimusEight("MB")
 	cfg.PageSize = pageSize
-	h, tenants, err := s.spatialPlatform(cfg, n)
+	p, err := s.spatial(cfg, n, nil)
 	if err != nil {
 		return 0, err
 	}
+	h := p.H
 	// MemBench data content is irrelevant; skip backing-store
 	// materialization so multi-GB working sets stay cheap to simulate.
 	h.Mem.SetDiscardWrites(true)
@@ -188,20 +183,14 @@ func (s *Session) mbThroughputPoint(pageSize uint64, n int, ws uint64, writes bo
 	if perJob < minWS {
 		perJob = minWS
 	}
-	writePct := uint64(0)
+	writePct := 0
 	if writes {
 		writePct = 100
 	}
-	for i, tn := range tenants {
-		buf, err := tn.dev.AllocDMA(perJob)
-		if err != nil {
+	for i, tn := range p.tenants {
+		if err := programJob(tn.dev, Job{App: "MB", Size: perJob, WritePct: writePct, Seed: uint64(i) + 9}, NoStateBuf); err != nil {
 			return 0, err
 		}
-		tn.dev.RegWrite(accel.MBArgBase, uint64(buf.Addr))
-		tn.dev.RegWrite(accel.MBArgSize, perJob)
-		tn.dev.RegWrite(accel.MBArgBursts, 0)
-		tn.dev.RegWrite(accel.MBArgWritePct, writePct)
-		tn.dev.RegWrite(accel.MBArgSeed, uint64(i)+9)
 		if err := tn.dev.Start(); err != nil {
 			return 0, err
 		}

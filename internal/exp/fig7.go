@@ -61,13 +61,12 @@ func (s *Session) Fig7() (*Table, error) {
 
 // fig7Point measures aggregate work/second of n concurrent instances.
 // Tenant i's job uses seed i+1; provisioning lives inside the warm
-// template (see spatialJobs), so every point starts from a CoW clone of an
+// template (see Session.spatial), so every point starts from a CoW clone of an
 // already-provisioned platform.
 func (s *Session) fig7Point(app string, n int, size uint64, window sim.Time) (float64, error) {
-	h, jobs, err := s.spatialJobs(optimusEight(app), n,
-		jobSpec{App: app, Size: size, Seed: 1, Stride: 1})
+	p, err := s.spatial(optimusEight(app), n, func(i int) Job { return appJob(app, size, uint64(i)+1) })
 	if err != nil {
 		return 0, err
 	}
-	return measureAggregate(h, jobs, window)
+	return measureAggregate(p.H, p.tenants, window)
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"optimus/internal/accel"
 	"optimus/internal/hv"
 	"optimus/internal/sim"
 )
@@ -78,71 +77,39 @@ func (s *Session) Fig8() (*Table, error) {
 // fig8Point runs n virtual accelerators of app on one physical slot for
 // the window and returns aggregate work/second.
 func (s *Session) fig8Point(app string, statePad int, n int, slice, window sim.Time) (float64, error) {
-	h, err := s.platform(hv.Config{
-		Accels:    []string{app},
-		TimeSlice: slice,
-	})
-	if err != nil {
-		return 0, err
-	}
-	if statePad > 0 {
-		accel.PadState(h.Phy(0).Accel, statePad)
-	}
-	tenants := make([]*tenant, n)
-	for i := range tenants {
-		tn, err := newTenant(h, 0)
-		if err != nil {
-			return 0, err
-		}
-		tenants[i] = tn
+	sc := Scenario{Config: hv.Config{Accels: []string{app}, TimeSlice: slice}, StatePad: statePad}
+	for i := 0; i < n; i++ {
+		j := Job{App: "MB", Size: 16 << 20, WritePct: 30, Seed: uint64(i)}
 		if app == "LL" {
 			// Size the list so it cannot be exhausted within the window:
 			// the single physical accelerator completes at most one hop
 			// per ~500 ns across ALL tenants.
 			nodes := int(window/(250*sim.Nanosecond)) + 1024
-			buf, err := tn.dev.AllocDMA(uint64(nodes) * 64)
-			if err != nil {
-				return 0, err
-			}
-			head, _, err := tn.dev.BuildList(buf, nodes, uint64(i)+5)
-			if err != nil {
-				return 0, err
-			}
-			tn.dev.RegWrite(accel.LLArgHead, head)
-		} else {
-			buf, err := tn.dev.AllocDMA(16 << 20)
-			if err != nil {
-				return 0, err
-			}
-			tn.dev.RegWrite(accel.MBArgBase, uint64(buf.Addr))
-			tn.dev.RegWrite(accel.MBArgSize, buf.Size)
-			tn.dev.RegWrite(accel.MBArgBursts, 0)
-			tn.dev.RegWrite(accel.MBArgWritePct, 30)
-			tn.dev.RegWrite(accel.MBArgSeed, uint64(i))
+			j = Job{App: "LL", Size: uint64(nodes) * 64, Nodes: nodes, Seed: uint64(i) + 5}
 		}
-		if _, err := tn.dev.SetupStateBuffer(); err != nil {
-			return 0, err
-		}
-		if err := tn.dev.Start(); err != nil {
-			return 0, err
-		}
+		sc.Tenants = append(sc.Tenants, Tenant{Job: j, StateBuf: StateBufLast})
 	}
+	p, err := s.Launch(sc)
+	if err != nil {
+		return 0, err
+	}
+	h := p.H
 	// Warm up one full rotation so every job's first (restore-free) slice
 	// is outside the measurement window.
 	h.K.RunFor(sim.Time(n+1) * slice)
 	before := make([]uint64, n)
-	for i, tn := range tenants {
-		before[i] = tn.dev.VAccel().WorkDone()
+	for i := range before {
+		before[i] = p.VAccel(i).WorkDone()
 	}
 	start := h.K.Now()
 	h.K.RunFor(window)
 	elapsed := h.K.Now() - start
 	var total float64
-	for i, tn := range tenants {
-		if err := tn.dev.VAccel().Failed(); err != nil {
+	for i := range before {
+		if err := p.VAccel(i).Failed(); err != nil {
 			return 0, err
 		}
-		total += float64(tn.dev.VAccel().WorkDone() - before[i])
+		total += float64(p.VAccel(i).WorkDone() - before[i])
 	}
 	return total / elapsed.Seconds(), nil
 }

@@ -113,20 +113,19 @@ func layoutSSSPJob(tn *tenant, g *graph.CSR, source int) error {
 	return d.RegWrite(accel.SSSPArgDesc, uint64(desc.Addr))
 }
 
-// runJobsToCompletion starts every job and runs the simulation until all
-// complete, returning each job's elapsed time.
-func runJobsToCompletion(h *hv.Hypervisor, jobs []*job) ([]sim.Time, error) {
-	elapsed := make([]sim.Time, len(jobs))
-	remaining := len(jobs)
-	starts := make([]sim.Time, len(jobs))
-	for i, j := range jobs {
-		i, j := i, j
+// runJobsToCompletion starts every tenant's job and runs the simulation
+// until all complete, returning each job's elapsed time.
+func runJobsToCompletion(h *hv.Hypervisor, tenants []*tenant) ([]sim.Time, error) {
+	elapsed := make([]sim.Time, len(tenants))
+	remaining := len(tenants)
+	starts := make([]sim.Time, len(tenants))
+	for i, tn := range tenants {
 		starts[i] = h.K.Now()
-		if err := j.dev.dev.Start(); err != nil {
+		if err := tn.dev.Start(); err != nil {
 			return nil, err
 		}
 		// Register after Start: OnDone on an inactive job fires immediately.
-		j.dev.dev.OnDone(func() {
+		tn.dev.OnDone(func() {
 			elapsed[i] = h.K.Now() - starts[i]
 			remaining--
 		})
@@ -135,8 +134,8 @@ func runJobsToCompletion(h *hv.Hypervisor, jobs []*job) ([]sim.Time, error) {
 	if remaining > 0 {
 		return nil, fmt.Errorf("exp: %d jobs never finished", remaining)
 	}
-	for i, j := range jobs {
-		if err := j.dev.dev.VAccel().Failed(); err != nil {
+	for i, tn := range tenants {
+		if err := tn.dev.VAccel().Failed(); err != nil {
 			return nil, fmt.Errorf("exp: job %d failed: %w", i, err)
 		}
 	}
@@ -146,7 +145,7 @@ func runJobsToCompletion(h *hv.Hypervisor, jobs []*job) ([]sim.Time, error) {
 // repeatRunner restarts a tenant's job every time it completes, until the
 // deadline; jobs in flight at the deadline contribute their partial work.
 // It returns a function reporting the total work completed.
-func repeatRunner(h *hv.Hypervisor, tn *tenant, workPerJob uint64, deadline sim.Time) func() uint64 {
+func repeatRunner(h *hv.Hypervisor, tn *tenant, deadline sim.Time) func() uint64 {
 	var completed uint64
 	running := false
 	var restart func()
@@ -161,7 +160,7 @@ func repeatRunner(h *hv.Hypervisor, tn *tenant, workPerJob uint64, deadline sim.
 		}
 		running = true
 		tn.dev.OnDone(func() {
-			completed += workPerJob
+			completed += tn.work
 			restart()
 		})
 	}
@@ -177,44 +176,56 @@ func repeatRunner(h *hv.Hypervisor, tn *tenant, workPerJob uint64, deadline sim.
 	}
 }
 
-// measureAggregate runs jobs repeatedly for the window and returns the
-// aggregate work/second across tenants. Jobs marked completeOnly are
-// instead run once to completion, with throughput work/makespan.
-func measureAggregate(h *hv.Hypervisor, jobs []*job, window sim.Time) (float64, error) {
-	if len(jobs) > 0 && jobs[0].completeOnly {
+// startWindowed starts every tenant's job for a window ending at deadline
+// and returns each tenant's work counter: a free-running job (work 0, MB)
+// starts once and is read through WorkDone, the rest restart through
+// repeatRunner.
+func startWindowed(h *hv.Hypervisor, tenants []*tenant, deadline sim.Time) ([]func() uint64, error) {
+	totals := make([]func() uint64, len(tenants))
+	for i, tn := range tenants {
+		if tn.work > 0 {
+			totals[i] = repeatRunner(h, tn, deadline)
+			continue
+		}
+		if err := tn.dev.Start(); err != nil {
+			return nil, err
+		}
+		dev := tn.dev
+		totals[i] = func() uint64 {
+			w, _ := dev.WorkDone()
+			return w
+		}
+	}
+	return totals, nil
+}
+
+// measureAggregate runs the tenants' jobs repeatedly for the window and
+// returns the aggregate work/second across tenants. Jobs marked
+// completeOnly are instead run once to completion, with throughput
+// work/makespan.
+func measureAggregate(h *hv.Hypervisor, tenants []*tenant, window sim.Time) (float64, error) {
+	if len(tenants) > 0 && tenants[0].completeOnly {
 		start := h.K.Now()
-		if _, err := runJobsToCompletion(h, jobs); err != nil {
+		if _, err := runJobsToCompletion(h, tenants); err != nil {
 			return 0, err
 		}
 		makespan := h.K.Now() - start
 		var total float64
-		for _, j := range jobs {
-			total += float64(j.work)
+		for _, tn := range tenants {
+			total += float64(tn.work)
 		}
 		return total / makespan.Seconds(), nil
 	}
 	deadline := h.K.Now() + window
 	start := h.K.Now()
-	totals := make([]func() uint64, len(jobs))
-	for i, j := range jobs {
-		if j.work == 0 {
-			// Free-running accelerator (MB): just start it once.
-			if err := j.dev.dev.Start(); err != nil {
-				return 0, err
-			}
-			dev := j.dev.dev
-			totals[i] = func() uint64 {
-				w, _ := dev.WorkDone()
-				return w
-			}
-			continue
-		}
-		totals[i] = repeatRunner(h, j.dev, j.work, deadline)
+	totals, err := startWindowed(h, tenants, deadline)
+	if err != nil {
+		return 0, err
 	}
 	h.K.RunUntil(deadline)
 	var sum float64
-	for i, j := range jobs {
-		if err := j.dev.dev.VAccel().Failed(); err != nil {
+	for i, tn := range tenants {
+		if err := tn.dev.VAccel().Failed(); err != nil {
 			return 0, fmt.Errorf("exp: job %d failed: %w", i, err)
 		}
 		sum += float64(totals[i]())

@@ -5,11 +5,8 @@ import (
 	"fmt"
 	"io"
 
-	"optimus/internal/accel"
-	"optimus/internal/guest"
 	"optimus/internal/hv"
 	"optimus/internal/load"
-	"optimus/internal/obs"
 	"optimus/internal/sim"
 )
 
@@ -57,128 +54,6 @@ const (
 // in elastic mode.
 var serveElastic = load.ElasticConfig{HighWater: 12, LowWater: 2, LowStreak: 3}
 
-// vaccelWorker adapts one guest device to load.Worker: a batch of n
-// requests is one MemBench job of serveBursts*n bursts. The completion
-// callback is prebuilt in Bind so the steady-state launch path allocates no
-// closures; failure is read off the vaccel at completion time.
-type vaccelWorker struct {
-	h      *hv.Hypervisor
-	dev    *guest.Device
-	done   func(failed bool)
-	onDone func()
-}
-
-func (w *vaccelWorker) Bind(done func(failed bool)) {
-	w.done = done
-	w.onDone = func() { w.done(w.dev.VAccel().Failed() != nil) }
-}
-
-func (w *vaccelWorker) Launch(n int) error {
-	if err := w.dev.RegWrite(accel.MBArgBursts, serveBursts*uint64(n)); err != nil {
-		return err
-	}
-	if err := w.dev.Start(); err != nil {
-		return err
-	}
-	// After Start: OnDone on an idle device fires immediately, which would
-	// complete the batch before it ran.
-	w.dev.OnDone(w.onDone)
-	return nil
-}
-
-// Grow activates the standby's claim on the spare slot. A refused grow
-// (failed or quarantined standby, e.g. under chaos) leaves the worker
-// released and its ready callback unfired; the stream's controller holds it
-// in "growing" from then on, which is exactly the deterministic degraded
-// mode we want — a broken standby cannot flap.
-func (w *vaccelWorker) Grow(ready func()) {
-	if err := w.h.ElasticGrow(w.dev.VAccel(), serveGrowCost, ready); err != nil {
-		return
-	}
-}
-
-func (w *vaccelWorker) Shrink() { w.h.ElasticShrink(w.dev.VAccel()) }
-
-// provisionServeMB sizes a device for serving: working-set buffer, MemBench
-// registers (bursts are rewritten per launch), and the preemption state
-// buffer — standbys share the spare slot and are preempted by design, and
-// a device without a state buffer cannot be resumed.
-func provisionServeMB(dev *guest.Device, seed uint64) error {
-	buf, err := dev.AllocDMA(serveWS)
-	if err != nil {
-		return err
-	}
-	dev.RegWrite(accel.MBArgBase, uint64(buf.Addr))
-	dev.RegWrite(accel.MBArgSize, serveWS)
-	dev.RegWrite(accel.MBArgBursts, serveBursts)
-	dev.RegWrite(accel.MBArgWritePct, 0)
-	dev.RegWrite(accel.MBArgSeed, seed)
-	if _, err := dev.SetupStateBuffer(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// servePlatform is the serve topology's harness state: the home tenants
-// and one standby device per tenant.
-type servePlatform struct {
-	tenants  []*tenant
-	standbys []*guest.Device
-}
-
-// buildServe provisions the serve topology: n home tenants on slots
-// 0..n-1 plus one standby device per tenant on the shared spare slot n,
-// every device provisioned and state-buffered. Standbys live in their own
-// process (two devices must never share a process's DMA arena) inside the
-// tenant's VM, so their traffic bills to the right guest.
-func buildServe(h *hv.Hypervisor, n int) (servePlatform, error) {
-	tenants, err := newTenants(h, n)
-	if err != nil {
-		return servePlatform{}, err
-	}
-	standbys := make([]*guest.Device, n)
-	for i, tn := range tenants {
-		if err := provisionServeMB(tn.dev, uint64(100+i)); err != nil {
-			return servePlatform{}, err
-		}
-		proc := tn.vm.NewProcess()
-		va, err := h.NewVAccel(proc, n)
-		if err != nil {
-			return servePlatform{}, err
-		}
-		dev, err := guest.Open(proc, va)
-		if err != nil {
-			return servePlatform{}, err
-		}
-		if err := provisionServeMB(dev, uint64(200+i)); err != nil {
-			return servePlatform{}, err
-		}
-		standbys[i] = dev
-	}
-	return servePlatform{tenants, standbys}, nil
-}
-
-// cloneServe re-wraps a serve template's handles around a clone: the home
-// tenants sit alone on slots 0..n-1 (cloneTenants); the standbys all share
-// the spare slot, in tenant order — hv.Clone rebuilds each slot's vaccels
-// in attach order, so creation order recovers them.
-func cloneServe(t servePlatform, h *hv.Hypervisor) (servePlatform, error) {
-	tenants, err := cloneTenants(t.tenants, h)
-	if err != nil {
-		return servePlatform{}, err
-	}
-	n := len(t.standbys)
-	vas := h.Phy(n).VAccels()
-	if len(vas) != n {
-		return servePlatform{}, fmt.Errorf("exp: serve clone spare slot has %d vaccels, want %d", len(vas), n)
-	}
-	standbys := make([]*guest.Device, n)
-	for i, tdev := range t.standbys {
-		standbys[i] = tdev.CloneFor(vas[i].Process(), vas[i])
-	}
-	return servePlatform{tenants, standbys}, nil
-}
-
 // ServeStreamPoint is one tenant's outcome at one load point.
 type ServeStreamPoint struct {
 	Name          string  `json:"name"`
@@ -221,28 +96,20 @@ type ServePoint struct {
 	Streams       []ServeStreamPoint `json:"streams"`
 }
 
-// runServePoint executes one sweep point and reduces it to a ServePoint.
-func (s *Session) runServePoint(mult float64, elastic bool) (ServePoint, error) {
-	horizon := 80 * sim.Millisecond
-	if s.o.Scale == ScaleFull {
-		horizon = 320 * sim.Millisecond
-	}
-	drain := 12 * sim.Millisecond
-	window := sim.Millisecond
-
+// serveScenario is the serve topology at one sweep point: serveTenants
+// MemBench tenants on slots of their own, each fronted by its stream at
+// mult times the base rates and backed by a standby on the shared spare
+// slot. Every device has a state buffer: standbys share the spare slot and
+// are preempted by design, and a device without one cannot be resumed.
+// Standbys live in their own process (two devices must never share a
+// process's DMA arena) inside the tenant's VM, so their traffic bills to
+// the right guest. Only elastic streams grow onto them.
+func serveScenario(mult float64, elastic bool) Scenario {
 	accels := make([]string, serveTenants+1)
 	for i := range accels {
 		accels[i] = "MB"
 	}
-	h, plat, err := acquire(s, hv.Config{Accels: accels}, "serve",
-		func(h *hv.Hypervisor) (servePlatform, error) { return buildServe(h, serveTenants) },
-		cloneServe)
-	if err != nil {
-		return ServePoint{}, err
-	}
-
-	eng := load.NewEngine(h.K, window, horizon)
-	specs := []load.StreamConfig{
+	streams := [serveTenants]load.StreamConfig{
 		{
 			Name: "bursty",
 			Arrivals: load.ArrivalSpec{
@@ -267,27 +134,44 @@ func (s *Session) runServePoint(mult float64, elastic bool) (ServePoint, error) 
 			TokenBurst:      32,
 		},
 	}
-	streams := make([]*load.Stream, serveTenants)
-	for i, sc := range specs {
-		sc.QueueCap = serveQueueCap
-		sc.BatchMax = serveBatchMax
-		sc.SLO = serveSLO
+	sc := Scenario{Config: hv.Config{Accels: accels}}
+	for i := range streams {
+		st := streams[i]
+		st.QueueCap = serveQueueCap
+		st.BatchMax = serveBatchMax
+		st.SLO = serveSLO
 		if elastic {
-			sc.Elastic = serveElastic
+			st.Elastic = serveElastic
 		}
-		st := eng.AddStream(sc)
-		st.AddWorker(&vaccelWorker{h: h, dev: plat.tenants[i].dev})
-		if elastic {
-			st.AddElasticWorker(&vaccelWorker{h: h, dev: plat.standbys[i]})
-		}
-		st.SetTrace(h.Trace(), obs.VM(plat.tenants[i].vm.ID))
-		streams[i] = st
+		job := Job{App: "MB", Size: serveWS, Bursts: serveBursts, Seed: uint64(100 + i)}
+		standby := job
+		standby.Seed = uint64(200 + i)
+		sc.Tenants = append(sc.Tenants, Tenant{
+			Slot:     i,
+			Job:      job,
+			StateBuf: StateBufLast,
+			Stream:   &st,
+			Standby:  &Standby{Slot: serveTenants, Job: standby},
+		})
 	}
-	if reg := h.Config().Metrics; reg != nil {
-		eng.RegisterMetrics(reg)
+	return sc
+}
+
+// runServePoint executes one sweep point and reduces it to a ServePoint.
+func (s *Session) runServePoint(mult float64, elastic bool) (ServePoint, error) {
+	horizon := 80 * sim.Millisecond
+	if s.o.Scale == ScaleFull {
+		horizon = 320 * sim.Millisecond
 	}
-	eng.Attach()
-	h.K.RunUntil(horizon + drain)
+	drain := 12 * sim.Millisecond
+	window := sim.Millisecond
+
+	plat, err := s.provision(serveScenario(mult, elastic), true)
+	if err != nil {
+		return ServePoint{}, err
+	}
+	eng := plat.Serve(window, horizon)
+	plat.H.K.RunUntil(horizon + drain)
 
 	mode := "static"
 	if elastic {
@@ -300,7 +184,7 @@ func (s *Session) runServePoint(mult float64, elastic bool) (ServePoint, error) 
 	}
 	secs := float64(horizon) / float64(sim.Second)
 	elapsed := float64(horizon+drain) / float64(sim.Second)
-	for i, st := range streams {
+	for i, st := range eng.Streams() {
 		lat := st.Latency()
 		sp := ServeStreamPoint{
 			Name:          st.Name(),

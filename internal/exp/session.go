@@ -247,95 +247,22 @@ func (s *Session) templateKey(cfg hv.Config, recipe string) string {
 	return b.String()
 }
 
-// newTenants provisions one tenant on each of the first n slots — the
-// shared prologue of every spatial experiment.
-func newTenants(h *hv.Hypervisor, n int) ([]*tenant, error) {
-	tenants := make([]*tenant, n)
-	for i := range tenants {
-		tn, err := newTenant(h, i)
-		if err != nil {
-			return nil, err
-		}
-		tenants[i] = tn
-	}
-	return tenants, nil
-}
-
-// spatialPlatform returns a ready platform per cfg with one provisioned
-// tenant on each of the first n slots.
-func (s *Session) spatialPlatform(cfg hv.Config, n int) (*hv.Hypervisor, []*tenant, error) {
-	return acquire(s, cfg, fmt.Sprint("spatial/", n),
-		func(h *hv.Hypervisor) ([]*tenant, error) { return newTenants(h, n) },
-		cloneTenants)
-}
-
-// jobSpec describes the homogeneous per-tenant job a warm template
-// provisions inside the template itself: tenant i runs App over Size input
-// bytes with RNG seed Seed + Stride*i. Moving provisioning into the
-// template is what makes copy-on-write cloning pay off — the filled input
-// buffers (megabytes per tenant) become shared frames every clone reuses
-// until something writes them — and it also deletes the per-point
-// provisioning cost (input synthesis, Reed-Solomon encoding, graph
-// layout) from the sweep inner loop.
-type jobSpec struct {
-	App    string
-	Size   uint64
-	Seed   uint64
-	Stride uint64
-}
-
-// spatialJobs returns a ready platform with n tenants each carrying a
-// provisioned (not started) spec job. Results are byte-identical to
+// spatial returns a cloned platform with n tenants, tenant i alone on slot
+// i. With job non-nil, tenant i's job(i) is provisioned (not started)
+// inside the warm template itself. That is what makes copy-on-write
+// cloning pay off: the filled input buffers (megabytes per tenant) become
+// shared frames every clone reuses until something writes them, and the
+// per-point provisioning cost (input synthesis, Reed-Solomon encoding,
+// graph layout) leaves the sweep inner loop. Results are byte-identical to
 // per-point provisioning because provisioning is synchronous,
-// deterministic in (cfg, n, spec), and fully captured by hv.Clone.
-func (s *Session) spatialJobs(cfg hv.Config, n int, spec jobSpec) (*hv.Hypervisor, []*job, error) {
-	h, jobs, err := acquire(s, cfg, fmt.Sprintf("jobs/%d/%+v", n, spec),
-		func(h *hv.Hypervisor) ([]*job, error) {
-			tenants, err := newTenants(h, n)
-			if err != nil {
-				return nil, err
-			}
-			jobs := make([]*job, n)
-			for i, tn := range tenants {
-				if jobs[i], err = s.provisionJob(tn, spec.App, spec.Size, spec.Seed+spec.Stride*uint64(i)); err != nil {
-					return nil, err
-				}
-			}
-			return jobs, nil
-		},
-		func(tjobs []*job, h *hv.Hypervisor) ([]*job, error) {
-			tts := make([]*tenant, len(tjobs))
-			for i, tj := range tjobs {
-				tts[i] = tj.dev
-			}
-			tenants, err := cloneTenants(tts, h)
-			if err != nil {
-				return nil, err
-			}
-			// Job descriptors carry no simulated state beyond their tenant
-			// handle: re-anchor them to the clone-side tenants.
-			jobs := make([]*job, len(tjobs))
-			for i, tj := range tjobs {
-				jobs[i] = &job{dev: tenants[i], work: tj.work, completeOnly: tj.completeOnly}
-			}
-			return jobs, nil
-		})
-	return h, jobs, err
-}
-
-// cloneTenants re-wraps a template's tenant handles around the clone-side
-// VM/process/vaccel counterparts. Tenant i sits alone on slot i
-// (newTenants' layout), so the clone-side vaccel is slot i's only
-// attachment.
-func cloneTenants(tts []*tenant, h *hv.Hypervisor) ([]*tenant, error) {
-	tenants := make([]*tenant, len(tts))
-	for i, tt := range tts {
-		vas := h.Phy(i).VAccels()
-		if len(vas) != 1 {
-			return nil, fmt.Errorf("exp: clone slot %d has %d vaccels, want 1", i, len(vas))
+// deterministic in the scenario, and fully captured by hv.Clone.
+func (s *Session) spatial(cfg hv.Config, n int, job func(i int) Job) (*Platform, error) {
+	sc := Scenario{Config: cfg, Tenants: make([]Tenant, n)}
+	for i := range sc.Tenants {
+		sc.Tenants[i].Slot = i
+		if job != nil {
+			sc.Tenants[i].Job = job(i)
 		}
-		proc := vas[0].Process()
-		tenants[i] = &tenant{vm: proc.VM(), dev: tt.dev.CloneFor(proc, vas[0])}
 	}
-	return tenants, nil
+	return s.provision(sc, true)
 }

@@ -7,12 +7,12 @@
 // it never mapped, or reports success for work that failed.
 //
 // The boundaries are the guest-visible entry points the injector can reach:
-// guest.Device's DMA-provisioning and job-lifecycle calls, and the
-// hypervisor's hypercall/MMIO surface. A finding is a statement that drops
-// such a call's error — a bare expression statement, or an assignment whose
-// error position is the blank identifier. Deliberate drops (an adversarial
-// model shrugging off rejections, teardown paths) are annotated
-// //optimus:fault-ok on the statement or the line above.
+// guest.Device's DMA-provisioning, register, buffer-write and job-lifecycle
+// calls, and the hypervisor's hypercall/MMIO surface. A finding is a
+// statement that drops such a call's error — a bare expression statement,
+// or an assignment whose error position is the blank identifier. Deliberate
+// drops (an adversarial model shrugging off rejections, teardown paths) are
+// annotated //optimus:fault-ok on the statement or the line above.
 //
 // Scope: the packages that drive jobs — internal/exp, internal/guest,
 // internal/hv, internal/chaos, and the two CLIs. Test files are outside the
@@ -45,6 +45,10 @@ var boundaries = map[string]map[string]bool{
 		"Start":            true,
 		"Run":              true,
 		"Wait":             true,
+		// RegWrite wraps the BAR0Write trap; Write lands in DMA memory
+		// whose pages a fault may have left unmapped.
+		"RegWrite": true,
+		"Write":    true,
 	},
 	"hv": {
 		"MapPage":   true,
@@ -56,7 +60,7 @@ var boundaries = map[string]map[string]bool{
 // Analyzer is the faultpath check.
 var Analyzer = &lint.Analyzer{
 	Name:  "faultpath",
-	Doc:   "forbid discarding errors from fault-injectable boundaries (guest provisioning/job calls, hv hypercall and MMIO surface) unless annotated //optimus:fault-ok",
+	Doc:   "forbid discarding errors from fault-injectable boundaries (guest provisioning/register/write/job calls, hv hypercall and MMIO surface) unless annotated //optimus:fault-ok",
 	Scope: func(pkgPath string) bool { return scopePkgs[lint.PathBase(pkgPath)] },
 	Run:   run,
 }

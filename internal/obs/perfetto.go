@@ -67,19 +67,10 @@ func laneName(a Actor) string {
 	}
 }
 
-// WriteChromeTrace exports the tracer's held records as one single-platform
-// Chrome trace.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	return writeChromeTrace(w, []PlatformObs{{Label: "platform", Trace: t}})
-}
-
 // WriteChromeTrace exports every collected platform's ring into one trace,
 // one process group per platform.
 func (c *Collector) WriteChromeTrace(w io.Writer) error {
-	return writeChromeTrace(w, c.Platforms())
-}
-
-func writeChromeTrace(w io.Writer, platforms []PlatformObs) error {
+	platforms := c.Platforms()
 	var raw []json.RawMessage
 	add := func(v any) error {
 		b, err := json.Marshal(v)

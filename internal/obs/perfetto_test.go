@@ -69,7 +69,9 @@ func TestChromeTraceGolden(t *testing.T) {
 // carry name/ph/pid/tid, with X events carrying ts and dur.
 func TestChromeTraceWellFormed(t *testing.T) {
 	var buf bytes.Buffer
-	if err := goldenTracer().WriteChromeTrace(&buf); err != nil {
+	c := NewCollector()
+	c.Add("platform", goldenTracer(), nil)
+	if err := c.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var top struct {
@@ -165,7 +167,9 @@ func TestChromeTraceWraparound(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	c := NewCollector()
+	c.Add("platform", tr, nil)
+	if err := c.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var top struct {

@@ -134,7 +134,9 @@ func TestSamplerWindowsAndDeltas(t *testing.T) {
 		t.Fatalf("Windows = %d, want 3", got)
 	}
 	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf, "unit"); err != nil {
+	coll := NewCollector()
+	coll.AddPlatform(PlatformObs{Label: "unit", Metrics: r, Sampler: s})
+	if err := coll.WriteTimeseries(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var art struct {

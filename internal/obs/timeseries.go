@@ -296,11 +296,6 @@ func (s *Sampler) export(label string) tsPlatform {
 	return p
 }
 
-// WriteJSON renders this sampler's series as a single-platform artifact.
-func (s *Sampler) WriteJSON(w io.Writer, label string) error {
-	return writeTimeseries(w, []tsPlatform{s.export(label)})
-}
-
 // WriteTimeseries renders every collected platform that carries a sampler
 // into one -timeseries artifact, in collection order.
 func (c *Collector) WriteTimeseries(w io.Writer) error {
@@ -311,10 +306,6 @@ func (c *Collector) WriteTimeseries(w io.Writer) error {
 		}
 		ps = append(ps, p.Sampler.export(p.Label))
 	}
-	return writeTimeseries(w, ps)
-}
-
-func writeTimeseries(w io.Writer, ps []tsPlatform) error {
 	art := tsArtifact{Platforms: ps}
 	if len(ps) > 0 {
 		art.WindowPS = ps[0].WindowPS
