@@ -136,10 +136,13 @@ type dmaOp struct {
 	fire func() // compute-completion event, built once per record
 
 	epoch uint64
-	n     uint64                       // write payload bytes
-	rdone func(data []byte, err error) // read completion (exactly one of
-	wdone func(err error)              // rdone/wdone/cfn is set)
-	cfn   func()                       // compute completion
+	n     uint64 // bytes the request moves
+	read  bool   // n counts toward bytesRead
+	// Exactly one completion is set: rdone for Read and ReadInto, wdone for
+	// Write and the timing-only ReadDiscard, cfn for Compute.
+	rdone func(data []byte, err error)
+	wdone func(err error)
+	cfn   func()
 }
 
 //optimus:hotpath
@@ -163,13 +166,15 @@ func (a *Accel) putOp(op *dmaOp) {
 	a.opFree = append(a.opFree, op)
 }
 
-// Complete implements ccip.Completer for Read and Write: epoch fencing,
-// latency/byte accounting, the logic callback, then the preemption/pump hook.
+// Complete implements ccip.Completer for Read, ReadDiscard and Write:
+// epoch fencing, latency/byte accounting, the logic callback, then the
+// preemption/pump hook. Bytes are counted from the request, so a
+// timing-only read (no payload) accounts exactly like a data-carrying one.
 //
 //optimus:hotpath
 func (op *dmaOp) Complete(r ccip.Response) {
 	a := op.a
-	epoch, n := op.epoch, op.n
+	epoch, n, read := op.epoch, op.n, op.read
 	rdone, wdone := op.rdone, op.wdone
 	a.putOp(op)
 	if epoch != a.epoch {
@@ -177,15 +182,16 @@ func (op *dmaOp) Complete(r ccip.Response) {
 	}
 	a.outstanding--
 	a.latency.Observe(r.Latency)
-	if rdone != nil {
-		if r.Err == nil {
-			a.bytesRead += uint64(len(r.Data))
-		}
-		rdone(r.Data, r.Err)
-	} else {
-		if r.Err == nil {
+	if r.Err == nil {
+		if read {
+			a.bytesRead += n
+		} else {
 			a.bytesWritten += n
 		}
+	}
+	if rdone != nil {
+		rdone(r.Data, r.Err)
+	} else {
 		wdone(r.Err)
 	}
 	a.afterCompletion()
@@ -387,14 +393,39 @@ func (a *Accel) ReadInto(addr uint64, lines int, dst []byte, done func(data []by
 
 //optimus:hotpath
 func (a *Accel) readInto(addr uint64, lines int, dst []byte, done func(data []byte, err error)) {
-	a.outstanding++
-	op := a.getOp()
-	op.epoch = a.epoch
+	op := a.readOp(lines)
 	op.rdone = done
 	a.port.Issue(ccip.Request{
 		Kind: ccip.RdLine, Addr: addr, Lines: lines, Dst: dst,
 		VC: a.vc(), Issued: a.k.Now(), Comp: op,
 	})
+}
+
+// ReadDiscard issues a timing-only DMA read of lines cache lines at GVA
+// addr, for logic that throws the data away. The request is audited,
+// translated, timed and bounds-checked like Read, and counts the same
+// bytes, but no payload is copied or allocated; done sees only the error.
+//
+//optimus:hotpath
+func (a *Accel) ReadDiscard(addr uint64, lines int, done func(err error)) {
+	op := a.readOp(lines)
+	op.wdone = done
+	a.port.Issue(ccip.Request{
+		Kind: ccip.RdLine, Addr: addr, Lines: lines, Discard: true,
+		VC: a.vc(), Issued: a.k.Now(), Comp: op,
+	})
+}
+
+// readOp opens the completion record of a read of lines cache lines.
+//
+//optimus:hotpath
+func (a *Accel) readOp(lines int) *dmaOp {
+	a.outstanding++
+	op := a.getOp()
+	op.epoch = a.epoch
+	op.n = uint64(lines) * ccip.LineSize
+	op.read = true
+	return op
 }
 
 // Write issues a DMA write at GVA addr; len(data) must be a multiple of 64.
@@ -405,6 +436,7 @@ func (a *Accel) Write(addr uint64, data []byte, done func(err error)) {
 	op := a.getOp()
 	op.epoch = a.epoch
 	op.n = uint64(len(data))
+	op.read = false
 	op.wdone = done
 	a.port.Issue(ccip.Request{
 		Kind: ccip.WrLine, Addr: addr, Lines: len(data) / ccip.LineSize, Data: data,

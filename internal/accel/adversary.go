@@ -128,7 +128,7 @@ func (v *Adversary) Pump(a *Accel) {
 			v.rng.Fill(data[:8])
 			a.Write(addr, data, func(err error) { v.onDone(a, bytes, err) })
 		} else {
-			a.Read(addr, advBurst, func(_ []byte, err error) { v.onDone(a, bytes, err) })
+			a.ReadDiscard(addr, advBurst, func(err error) { v.onDone(a, bytes, err) })
 		}
 	}
 }

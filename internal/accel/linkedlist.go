@@ -30,6 +30,16 @@ type LinkedList struct {
 	visited  uint64
 	limit    uint64
 	checksum uint64
+
+	// The allocation-free read path, built by bind once per job and
+	// dropped by RestoreState and ResetLogic: the accelerator, the node
+	// buffer every read lands in (the window is 1, so one node is in
+	// flight at a time), and the completion that visits it. A fresh buffer
+	// per job keeps a read still in flight across a reset from landing in
+	// the new job's node.
+	a      *Accel
+	node   []byte
+	onNode func(data []byte, err error)
 }
 
 // NewLinkedList returns the LL logic.
@@ -52,10 +62,23 @@ func (l *LinkedList) Start(a *Accel) {
 	l.visited = 0
 	l.checksum = 0
 	a.SetWindow(1) // single outstanding request: latency-bound by design
+	l.bind(a)
+}
+
+// bind builds the job's read path on a (see the fields).
+func (l *LinkedList) bind(a *Accel) {
+	l.a = a
+	l.node = make([]byte, ccip.LineSize)
+	l.onNode = l.visit
 }
 
 // Pump implements Logic.
+//
+//optimus:hotpath
 func (l *LinkedList) Pump(a *Accel) {
+	if l.onNode == nil {
+		l.bind(a) // first pump after RestoreState
+	}
 	if !a.CanIssue() {
 		return
 	}
@@ -64,17 +87,27 @@ func (l *LinkedList) Pump(a *Accel) {
 		a.JobDone()
 		return
 	}
-	addr := l.cur &^ (ccip.LineSize - 1)
-	a.Read(addr, 1, func(data []byte, err error) {
-		if err != nil {
-			a.Fail(fmt.Errorf("linkedlist node at %#x: %w", addr, err))
-			return
-		}
-		l.cur = getU64(data[LLNextOffset:])
-		l.checksum += getU64(data[LLPayloadOffset:])
-		l.visited++
-		a.AddWork(1)
-	})
+	a.ReadInto(l.cur&^(ccip.LineSize-1), 1, l.node, l.onNode)
+}
+
+// visit completes one node read: follow the next pointer and add the
+// payload.
+//
+//optimus:hotpath
+func (l *LinkedList) visit(data []byte, err error) {
+	if err != nil {
+		l.fail(err)
+		return
+	}
+	l.cur = getU64(data[LLNextOffset:])
+	l.checksum += getU64(data[LLPayloadOffset:])
+	l.visited++
+	l.a.AddWork(1)
+}
+
+// fail reports a faulted node read; l.cur still names the node.
+func (l *LinkedList) fail(err error) {
+	l.a.Fail(fmt.Errorf("linkedlist node at %#x: %w", l.cur&^(ccip.LineSize-1), err))
 }
 
 // SaveState implements Logic.
@@ -96,6 +129,7 @@ func (l *LinkedList) RestoreState(data []byte) error {
 	l.visited = getU64(data[8:])
 	l.limit = getU64(data[16:])
 	l.checksum = getU64(data[24:])
+	l.a, l.node, l.onNode = nil, nil, nil
 	return nil
 }
 

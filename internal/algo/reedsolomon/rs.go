@@ -87,8 +87,8 @@ func polyEval(p []byte, x byte) byte {
 // Code is an RS(n, k) encoder/decoder.
 type Code struct {
 	n, k    int
-	gen     []byte // generator polynomial, high-order first, monic, degree 2t
-	roots   []byte // generator roots α^0..α^(2t-1) (syndrome evaluation points)
+	gen     []byte             // generator polynomial, high-order first, monic, degree 2t
+	roots   []byte             // generator roots α^0..α^(2t-1) (syndrome evaluation points)
 	synRows []*[fieldSize]byte // product-table row per root, for syndromes
 }
 

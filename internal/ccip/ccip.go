@@ -98,7 +98,13 @@ type Request struct {
 	// until the completion fires. Zero-copy opt-in for pooled issuers.
 	Dst []byte
 	VC  Channel
-	Tag Tag
+	// Discard, on a read, marks the payload as unwanted: a timing-only
+	// read. It is audited, translated, timed on the link and bounds-checked
+	// against physical memory exactly like a data-carrying read, but no
+	// bytes are copied and the response's Data is nil. For issuers that
+	// throw the read data away (MemBench's bandwidth reads).
+	Discard bool
+	Tag     Tag
 	// Issued is stamped by the issuing engine for latency accounting.
 	Issued sim.Time
 	// Done receives the response. Exactly one completion target — Done or
@@ -143,6 +149,9 @@ func (r Request) Validate() error {
 	}
 	if r.Kind == RdLine && r.Dst != nil && len(r.Dst) < int(r.Bytes()) {
 		return fmt.Errorf("ccip: read destination holds %d bytes, want %d", len(r.Dst), r.Bytes())
+	}
+	if r.Discard && (r.Kind != RdLine || r.Dst != nil) {
+		return fmt.Errorf("ccip: discarding %v with destination %t", r.Kind, r.Dst != nil)
 	}
 	if r.Done == nil && r.Comp == nil {
 		return fmt.Errorf("ccip: request without completion target")

@@ -189,9 +189,11 @@ type shellOp struct {
 	issued sim.Time
 	data   []byte // write payload, borrowed from the request until completion
 	dst    []byte // caller-provided read destination (zero-copy opt-in)
-	done   func(Response)
-	comp   Completer
-	err    error // translation fault: deliver an error response, skip memory
+	// discard marks a timing-only read: bounds-check, copy nothing.
+	discard bool
+	done    func(Response)
+	comp    Completer
+	err     error // translation fault: deliver an error response, skip memory
 
 	segs     [2]hpaSeg
 	nsegs    int
@@ -222,6 +224,7 @@ func (s *Shell) getOp() *shellOp {
 
 func (s *Shell) putOp(op *shellOp) {
 	op.data, op.dst = nil, nil
+	op.discard = false
 	op.done, op.comp = nil, nil
 	op.err = nil
 	op.nsegs = 0
@@ -270,8 +273,11 @@ func (op *shellOp) run() {
 	if op.err == nil {
 		switch op.kind {
 		case RdLine:
-			buf := op.readInto(op.dst)
-			resp.Data = buf
+			if op.discard {
+				op.readLines(nil)
+			} else {
+				resp.Data = op.readInto(op.dst)
+			}
 			s.stats.Reads++
 			s.stats.BytesRead += uint64(op.lines) * LineSize
 		case WrLine:
@@ -299,6 +305,16 @@ func (op *shellOp) readInto(dst []byte) []byte {
 	} else {
 		dst = dst[:n]
 	}
+	op.readLines(dst)
+	return dst
+}
+
+// readLines reads every line of the request into dst. With dst nil (a
+// timing-only read) it makes only the bounds check each line's Read would
+// make, so an out-of-range read panics exactly as a data-carrying one does.
+//
+//optimus:hotpath
+func (op *shellOp) readLines(dst []byte) {
 	for si := 0; si < op.nsegs; si++ {
 		seg := op.seg(si)
 		end := op.lines
@@ -307,10 +323,13 @@ func (op *shellOp) readInto(dst []byte) []byte {
 		}
 		for i := seg.firstLine; i < end; i++ {
 			hpa := seg.base + mem.HPA(i-seg.firstLine)*LineSize
-			op.s.Mem.Read(hpa, dst[i*LineSize:(i+1)*LineSize])
+			if dst == nil {
+				op.s.Mem.Touch(hpa, LineSize)
+			} else {
+				op.s.Mem.Read(hpa, dst[i*LineSize:(i+1)*LineSize])
+			}
 		}
 	}
-	return dst
 }
 
 // writeLines performs the functional line writes of the request payload.
@@ -454,7 +473,7 @@ func (s *Shell) Issue(req Request) {
 	op := s.getOp()
 	op.kind, op.addr, op.tag, op.vc = req.Kind, req.Addr, req.Tag, vc
 	op.lines, op.issued = req.Lines, req.Issued
-	op.data, op.dst = req.Data, req.Dst
+	op.data, op.dst, op.discard = req.Data, req.Dst, req.Discard
 	op.done, op.comp = req.Done, req.Comp
 
 	if s.chaos != nil && s.chaosArm(op, now) {

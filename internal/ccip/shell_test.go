@@ -2,7 +2,9 @@ package ccip
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+	"unsafe"
 
 	"optimus/internal/mem"
 	"optimus/internal/pagetable"
@@ -337,5 +339,54 @@ func TestDiscardWritesMode(t *testing.T) {
 	m.Read(0x1000, b)
 	if b[0] != 9 || b[1] != 8 {
 		t.Fatalf("resident frame write lost: %v", b)
+	}
+}
+
+// TestTimingOnlyReadBeyondMemoryPanics: a timing-only read still makes
+// PhysMem.Read's bounds check, so a read through an IO mapping past the end
+// of physical memory panics with the same message either way.
+func TestTimingOnlyReadBeyondMemoryPanics(t *testing.T) {
+	panicOf := func(discard bool) (msg string) {
+		k, s := testShell(t, DefaultConfig(), 0)
+		const iova = 1 << 30
+		if err := s.IOMMU.Table().Map(iova, mem.HPA(s.Mem.Size()), pagetable.PermRW); err != nil {
+			t.Fatal(err)
+		}
+		defer func() { msg = fmt.Sprint(recover()) }()
+		s.Issue(Request{Kind: RdLine, Addr: iova, Lines: 2, Discard: discard, VC: VCUPI,
+			Issued: k.Now(), Done: func(Response) {}})
+		k.Run()
+		return "no panic"
+	}
+	data, timing := panicOf(false), panicOf(true)
+	if data == "no panic" || timing != data {
+		t.Fatalf("out-of-range read: data-carrying panics %q, timing-only %q", data, timing)
+	}
+}
+
+// TestDiscardValidation: only a read without a destination may discard.
+func TestDiscardValidation(t *testing.T) {
+	done := func(Response) {}
+	for _, r := range []Request{
+		{Kind: WrLine, Lines: 1, Data: make([]byte, LineSize), Discard: true, Done: done},
+		{Kind: RdLine, Lines: 1, Dst: make([]byte, LineSize), Discard: true, Done: done},
+	} {
+		if r.Validate() == nil {
+			t.Errorf("%v with Discard and Dst=%t validated", r.Kind, r.Dst != nil)
+		}
+	}
+	if err := (Request{Kind: RdLine, Lines: 1, Discard: true, Done: done}).Validate(); err != nil {
+		t.Errorf("timing-only read rejected: %v", err)
+	}
+}
+
+// TestRequestSize: the Discard flag lives in VC's padding, so the request
+// that every layer copies by value stays two cache lines.
+func TestRequestSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the 128-byte layout is a 64-bit one")
+	}
+	if n := unsafe.Sizeof(Request{}); n != 128 {
+		t.Fatalf("ccip.Request is %d bytes, want 128", n)
 	}
 }

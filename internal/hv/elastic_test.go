@@ -36,8 +36,8 @@ func TestElasticGrowShrink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	home := newTenant(t, h, 0)    // tenant A's home share, slot 0
-	donor := newTenant(t, h, 1)   // tenant B, occupying slot 1
+	home := newTenant(t, h, 0)  // tenant A's home share, slot 0
+	donor := newTenant(t, h, 1) // tenant B, occupying slot 1
 	// Tenant A's standby share on slot 1: its own process (devices must not
 	// share a process's DMA arena), same VM.
 	standbyProc := home.vm.NewProcess()

@@ -120,21 +120,24 @@ func (fl *inflight) deliver() {
 		m.putInflight(fl)
 		return
 	}
+	// Bytes moved: the request's size, counted from the request rather than
+	// the payload so timing-only reads (no Data) account like data-carrying
+	// ones. A failed read moved nothing; a write's size is reported either way.
+	bytes := fl.dataBytes
+	if resp.Kind == ccip.RdLine && resp.Err != nil {
+		bytes = 0
+	}
 	if resp.Err == nil {
 		switch resp.Kind {
 		case ccip.RdLine:
-			a.bytesRead += uint64(len(resp.Data))
+			a.bytesRead += bytes
 		case ccip.WrLine:
-			a.bytesWritten += fl.dataBytes
+			a.bytesWritten += bytes
 		}
 	}
 	resp.Addr = fl.gva
 	resp.Latency = m.k.Now() - fl.issued
 	if m.tr != nil {
-		bytes := uint64(len(resp.Data))
-		if resp.Kind == ccip.WrLine {
-			bytes = fl.dataBytes
-		}
 		m.tr.EmitSpan(m.k.Now(), obs.KindDMAComplete, obs.PA(a.id),
 			obs.MkSpan(a.id, resp.Tag.Txn), uint64(resp.Latency), bytes)
 	}

@@ -156,7 +156,7 @@ func TestTokenBucketAdmission(t *testing.T) {
 		Name:     "t0",
 		Arrivals: ArrivalSpec{Kind: Poisson, RatePerSec: 10000},
 		Seed:     2, QueueCap: 1 << 20,
-		Policy:   TokenBucket,
+		Policy:          TokenBucket,
 		TokenRatePerSec: 1000, TokenBurst: 50,
 	})
 	s.AddWorker(&fakeWorker{k: k, svc: sim.Microsecond})
@@ -299,8 +299,8 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		Name:     "t0",
 		Arrivals: ArrivalSpec{Kind: Poisson, RatePerSec: 50000},
 		Seed:     8, QueueCap: 256, BatchMax: 4,
-		Policy:   TokenBucket, TokenRatePerSec: 40000, TokenBurst: 64,
-		SLO:      500 * sim.Microsecond, ReservoirCap: 64,
+		Policy: TokenBucket, TokenRatePerSec: 40000, TokenBurst: 64,
+		SLO: 500 * sim.Microsecond, ReservoirCap: 64,
 	})
 	s.AddWorker(&fakeWorker{k: k, svc: 10 * sim.Microsecond})
 	e.Attach()

@@ -93,11 +93,11 @@ func TestShareFromReplacesPriorContents(t *testing.T) {
 
 	// Re-sharing from the same src is idempotent: refcounts must not climb.
 	c.ShareFrom(src)
-	for base, f := range src.frames {
+	src.frames.walk(func(base HPA, f *frame) {
 		if refs := f.refs.Load(); refs != 2 {
 			t.Fatalf("frame %#x refs = %d after repeated ShareFrom, want 2", base, refs)
 		}
-	}
+	})
 }
 
 func TestCopyFromReusesStorage(t *testing.T) {
@@ -110,9 +110,7 @@ func TestCopyFromReusesStorage(t *testing.T) {
 		t.Fatal("CopyFrom contents differ")
 	}
 	ptrs := map[HPA]*frame{}
-	for base, f := range c.frames {
-		ptrs[base] = f
-	}
+	c.frames.walk(func(base HPA, f *frame) { ptrs[base] = f })
 
 	// Second deep copy into the same destination: frame set unchanged, so
 	// every frame's storage must be reused in place.
@@ -121,11 +119,11 @@ func TestCopyFromReusesStorage(t *testing.T) {
 	if c.Fingerprint() != src.Fingerprint() {
 		t.Fatal("second CopyFrom contents differ")
 	}
-	for base, f := range c.frames {
+	c.frames.walk(func(base HPA, f *frame) {
 		if ptrs[base] != f {
 			t.Fatalf("CopyFrom reallocated frame %#x instead of reusing it", base)
 		}
-	}
+	})
 
 	// CoW-shared destination frames must NOT be written in place: deep-
 	// copying over a clone may not corrupt the template it was sharing

@@ -58,7 +58,7 @@ type frame struct {
 //optimus:state
 type PhysMem struct {
 	size   uint64
-	frames map[HPA]*frame
+	frames frameTable
 	// discardWrites drops write data instead of materializing frames.
 	// Bandwidth experiments (MemBench over multi-GB working sets) enable
 	// it: timing is unaffected, only content fidelity is sacrificed.
@@ -70,33 +70,39 @@ type PhysMem struct {
 	// PhysMem's writes.
 	//optimus:clone-skip per-instance CoW accounting, not guest-visible state; a clone starts its own break count
 	cowBreaks uint64
+	// slab holds the not yet used frames of the last slab allocation (see
+	// alloc), and slabFrames is that slab's size.
+	//optimus:clone-skip allocation arena, not memory contents; a clone carves its own
+	slab []frame
+	//optimus:clone-skip allocation arena, not memory contents; a clone carves its own
+	slabFrames int
 }
 
 // NewPhysMem returns a physical memory of the given size in bytes.
 func NewPhysMem(size uint64) *PhysMem {
-	return &PhysMem{size: size, frames: make(map[HPA]*frame)}
+	return &PhysMem{size: size, frames: newFrameTable(size)}
 }
 
 // Size returns the physical memory size in bytes.
 func (m *PhysMem) Size() uint64 { return m.size }
 
 // ResidentBytes returns the number of bytes actually backed by storage.
-func (m *PhysMem) ResidentBytes() uint64 { return uint64(len(m.frames)) * frameSize }
+func (m *PhysMem) ResidentBytes() uint64 { return uint64(m.frames.n) * frameSize }
 
 // ResidentFrames returns the number of materialized frames.
-func (m *PhysMem) ResidentFrames() int { return len(m.frames) }
+func (m *PhysMem) ResidentFrames() int { return m.frames.n }
 
 // SharedFrames returns the number of resident frames whose backing store is
 // currently shared copy-on-write with another PhysMem. It walks the frame
-// map, so it is a snapshot operation (metrics, artifacts), not a hot-path
+// table, so it is a snapshot operation (metrics, artifacts), not a hot-path
 // one.
 func (m *PhysMem) SharedFrames() int {
 	n := 0
-	for _, f := range m.frames {
+	m.frames.walk(func(_ HPA, f *frame) {
 		if f.refs.Load() > 1 {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -130,17 +136,23 @@ func (m *PhysMem) Read(pa HPA, b []byte) {
 		if n > uint64(len(b)) {
 			n = uint64(len(b))
 		}
-		if f, ok := m.frames[base]; ok {
+		if f := m.frames.lookup(base); f != nil {
 			copy(b[:n], f.data[off:off+n])
 		} else {
-			for i := uint64(0); i < n; i++ {
-				b[i] = 0
-			}
+			clear(b[:n])
 		}
 		b = b[n:]
 		pa += HPA(n)
 	}
 }
+
+// Touch performs the bounds check of a Read of n bytes at pa without
+// transferring any data. Timing-only DMA reads, whose issuer discards the
+// payload, go through it so an out-of-range access panics exactly as the
+// data-carrying Read would.
+//
+//optimus:hotpath
+func (m *PhysMem) Touch(pa HPA, n int) { m.check(pa, n) }
 
 // SetDiscardWrites toggles write-discard mode (see the field comment).
 // Existing frames still accept writes; only new frame materialization is
@@ -168,8 +180,8 @@ func (m *PhysMem) Write(pa HPA, b []byte) {
 		if n > uint64(len(b)) {
 			n = uint64(len(b))
 		}
-		f, ok := m.frames[base]
-		if !ok {
+		f := m.frames.lookup(base)
+		if f == nil {
 			if m.discardWrites {
 				b = b[n:]
 				pa += HPA(n)
@@ -186,11 +198,33 @@ func (m *PhysMem) Write(pa HPA, b []byte) {
 	}
 }
 
+// maxSlabFrames caps a slab: 31 frames (127,472 B) fill a 128 KB
+// allocation with 2.7% slack.
+const maxSlabFrames = 31
+
+// alloc returns a private zero frame carved from m's current slab. Slabs
+// hold 1, 3, 7, 15 and from then on 31 frames. A lone frame (4 KB plus its
+// header) rounds up to the Go allocator's 4.75 KB size class, 15% slack;
+// the larger slabs round up with 6–12%, and 31 frames with 2.7%. A memory
+// that materializes one frame pays for one; a template that materializes
+// thousands pays one allocation per 31. A slab lives while any of its
+// frames is referenced, by this memory or by a clone sharing it, so a
+// dropped frame's storage is reclaimed with its slab.
+func (m *PhysMem) alloc() *frame {
+	if len(m.slab) == 0 {
+		m.slabFrames = min(2*m.slabFrames+1, maxSlabFrames)
+		m.slab = make([]frame, m.slabFrames)
+	}
+	f := &m.slab[0]
+	m.slab = m.slab[1:]
+	f.refs.Store(1)
+	return f
+}
+
 // newFrame materializes a private zero frame at base.
 func (m *PhysMem) newFrame(base HPA) *frame {
-	f := &frame{}
-	f.refs.Store(1)
-	m.frames[base] = f
+	f := m.alloc()
+	m.frames.install(base, f)
 	return f
 }
 
@@ -202,10 +236,9 @@ func (m *PhysMem) newFrame(base HPA) *frame {
 // observes refs == 1 is guaranteed the breaking writer is done with the
 // frame.
 func (m *PhysMem) breakShare(base HPA, shared *frame) *frame {
-	f := &frame{}
-	f.refs.Store(1)
+	f := m.alloc()
 	f.data = shared.data
-	m.frames[base] = f
+	m.frames.install(base, f)
 	shared.refs.Add(-1)
 	m.cowBreaks++
 	return f
@@ -215,14 +248,14 @@ func (m *PhysMem) breakShare(base HPA, shared *frame) *frame {
 // any) of the backing store.
 func (m *PhysMem) drop(base HPA, f *frame) {
 	f.refs.Add(-1)
-	delete(m.frames, base)
+	m.frames.remove(base)
 }
 
 // CopyFrom replaces m's contents with a deep copy of src's resident
 // frames. The two memories must be the same size. Used by hypervisor
 // cloning when copy-on-write sharing is disabled.
 //
-// The destination's existing frame map and any exclusively owned frame
+// The destination's existing frame table and any exclusively owned frame
 // storage are reused rather than discarded, so repeatedly deep-copying
 // into the same PhysMem reallocates nothing once the frame sets converge.
 // The copy leaves m clean: DirtyFrames is empty until m's first
@@ -235,27 +268,24 @@ func (m *PhysMem) CopyFrom(src *PhysMem) {
 		panic(fmt.Sprintf("mem: CopyFrom size mismatch (%#x vs %#x)", m.size, src.size))
 	}
 	m.discardWrites = src.discardWrites
-	if m.frames == nil {
-		m.frames = make(map[HPA]*frame, len(src.frames))
-	}
-	for base, f := range m.frames {
-		if _, ok := src.frames[base]; !ok {
+	m.frames.walk(func(base HPA, f *frame) {
+		if src.frames.lookup(base) == nil {
 			m.drop(base, f)
 		}
-	}
-	for base, sf := range src.frames {
-		df, ok := m.frames[base]
-		if !ok || df.refs.Load() > 1 {
+	})
+	src.frames.walk(func(base HPA, sf *frame) {
+		df := m.frames.lookup(base)
+		if df == nil || df.refs.Load() > 1 {
 			// Absent, or present but shared (not writable in place):
 			// install a fresh private frame.
-			if ok {
+			if df != nil {
 				m.drop(base, df)
 			}
 			df = m.newFrame(base)
 		}
 		df.data = sf.data
 		df.gen = sf.gen
-	}
+	})
 	m.gen = src.gen + 1
 }
 
@@ -279,38 +309,28 @@ func (m *PhysMem) ShareFrom(src *PhysMem) {
 		panic(fmt.Sprintf("mem: ShareFrom size mismatch (%#x vs %#x)", m.size, src.size))
 	}
 	m.discardWrites = src.discardWrites
-	if m.frames == nil {
-		m.frames = make(map[HPA]*frame, len(src.frames))
-	}
-	for base, f := range m.frames {
-		if src.frames[base] != f {
+	m.frames.walk(func(base HPA, f *frame) {
+		if src.frames.lookup(base) != f {
 			m.drop(base, f)
 		}
-	}
-	for base, f := range src.frames {
-		if m.frames[base] == f {
-			continue // already sharing this frame with src
-		}
-		f.refs.Add(1)
-		m.frames[base] = f
-	}
+	})
+	m.frames.shareFrom(&src.frames)
 	if src.gen >= m.gen {
 		m.gen = src.gen + 1
 	}
 }
 
-// DirtyFrames returns the sorted bases of the frames written since the
+// DirtyFrames returns the ascending bases of the frames written since the
 // last ResetDirty (or, for a freshly cloned memory, since the clone).
 // This is the pre-copy/checkpoint substrate: a migration round copies
 // exactly these frames, calls ResetDirty, and repeats.
 func (m *PhysMem) DirtyFrames() []HPA {
-	out := make([]HPA, 0, len(m.frames))
-	for base, f := range m.frames {
+	var out []HPA
+	m.frames.walk(func(base HPA, f *frame) {
 		if f.gen == m.gen {
 			out = append(out, base)
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	})
 	return out
 }
 
@@ -318,11 +338,11 @@ func (m *PhysMem) DirtyFrames() []HPA {
 // materializing the list.
 func (m *PhysMem) DirtyFrameCount() int {
 	n := 0
-	for _, f := range m.frames {
+	m.frames.walk(func(_ HPA, f *frame) {
 		if f.gen == m.gen {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -330,26 +350,20 @@ func (m *PhysMem) DirtyFrameCount() int {
 // generation. Subsequent writes re-dirty exactly the frames they touch.
 func (m *PhysMem) ResetDirty() { m.gen++ }
 
-// Fingerprint returns an order-independent-of-map, content-sensitive hash
-// of the resident frames (base addresses and bytes, sorted by base). Two
-// memories with the same resident frame set and contents fingerprint
-// identically; it is how clone tests prove a template survived its clones
-// unmutated.
+// Fingerprint returns a content-sensitive hash of the resident frames
+// (base addresses and bytes, in ascending base order). Two memories with
+// the same resident frame set and contents fingerprint identically; it is
+// how clone tests prove a template survived its clones unmutated.
 func (m *PhysMem) Fingerprint() uint64 {
-	bases := make([]HPA, 0, len(m.frames))
-	for base := range m.frames {
-		bases = append(bases, base)
-	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
 	h := fnv.New64a()
 	var b [8]byte
-	for _, base := range bases {
+	m.frames.walk(func(base HPA, f *frame) {
 		for i := range b {
 			b[i] = byte(uint64(base) >> (8 * i))
 		}
 		h.Write(b[:])
-		h.Write(m.frames[base].data[:])
-	}
+		h.Write(f.data[:])
+	})
 	return h.Sum64()
 }
 

@@ -44,9 +44,9 @@ type CritReq struct {
 	Actor    Actor // the issuing accelerator's PA lane
 	Write    bool
 	Lines    int
-	Issue    sim.Time           // auditor issue time
-	Complete sim.Time           // delivery time
-	Latency  sim.Time           // measured round trip (complete record's payload)
+	Issue    sim.Time // auditor issue time
+	Complete sim.Time // delivery time
+	Latency  sim.Time // measured round trip (complete record's payload)
 	Stages   [NumStages]sim.Time
 	XlatRecs int // IOTLB classification records joined (lines seen)
 }
@@ -64,13 +64,13 @@ func (r *CritReq) Dominant() int {
 
 // CritClass aggregates one request class.
 type CritClass struct {
-	Name      string
-	Count     int
-	Total     sim.Time
-	Max       sim.Time
-	P50, P99  sim.Time
-	Stages    [NumStages]sim.Time
-	lats      []sim.Time
+	Name     string
+	Count    int
+	Total    sim.Time
+	Max      sim.Time
+	P50, P99 sim.Time
+	Stages   [NumStages]sim.Time
+	lats     []sim.Time
 }
 
 // Dominant returns the index of the class's largest aggregate stage.
@@ -123,7 +123,10 @@ type openChain struct {
 func AnalyzeCritPath(recs []Rec) *CritReport {
 	rep := &CritReport{}
 	open := map[uint32]*openChain{}
-	type trapKey struct{ spans map[uint32]bool; n int }
+	type trapKey struct {
+		spans map[uint32]bool
+		n     int
+	}
 	traps := map[Actor]*trapKey{}
 
 	for i := range recs {

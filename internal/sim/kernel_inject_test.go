@@ -31,8 +31,8 @@ func TestInjectorSchedulesEvents(t *testing.T) {
 	var fired []Time
 	k.At(100, func() {}) // keep the queue non-empty so Run reaches boundaries
 	k.SetInjector(10, func(b Time) Time {
-		k.At(b, func() { fired = append(fired, k.Now()) })      // at boundary
-		k.At(b+5, func() { fired = append(fired, k.Now()) })    // later
+		k.At(b, func() { fired = append(fired, k.Now()) })   // at boundary
+		k.At(b+5, func() { fired = append(fired, k.Now()) }) // later
 		if b >= 30 {
 			return 0 // uninstall
 		}
