@@ -356,11 +356,7 @@ func NewShell(k *sim.Kernel, m *mem.PhysMem, cfg Config) *Shell {
 	if cfg.PageSize == 0 {
 		cfg.PageSize = mem.PageSize2M
 	}
-	levels := 3
-	if cfg.PageSize == mem.PageSize4K {
-		levels = 4
-	}
-	iopt := pagetable.New[mem.IOVA, mem.HPA](cfg.PageSize, levels)
+	iopt := pagetable.New[mem.IOVA, mem.HPA](cfg.PageSize, pagetable.Levels(cfg.PageSize))
 	s := &Shell{
 		K:     k,
 		Mem:   m,
@@ -395,16 +391,6 @@ func (s *Shell) SetChaos(p *chaos.Plan) { s.chaos = p }
 
 // Chaos returns the armed fault-injection plan, or nil.
 func (s *Shell) Chaos() *chaos.Plan { return s.chaos }
-
-// ResetStats zeroes the shell counters, including the per-channel byte
-// counts, mirroring iommu.ResetStats so the metrics registry can scope a
-// snapshot to an experiment phase.
-func (s *Shell) ResetStats() {
-	s.stats = ShellStats{}
-	for _, l := range s.links {
-		l.bytesRd, l.bytesWr = 0, 0
-	}
-}
 
 // Stats returns a copy of the shell counters.
 func (s *Shell) Stats() ShellStats {

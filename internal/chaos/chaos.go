@@ -289,14 +289,8 @@ func (p *Plan) Stats() Stats {
 }
 
 // Recovery returns the recovery-latency reservoir (extra request latency
-// attributable to absorbed faults). The pointer is stable across ResetStats
-// so metric registrations stay valid.
+// attributable to absorbed faults).
 func (p *Plan) Recovery() *sim.LatencyStat { return p.recovery }
-
-// ResetStats zeroes the counters. The recovery histogram and the decision
-// stream are left untouched: resetting mid-run must not perturb the fault
-// schedule.
-func (p *Plan) ResetStats() { p.stats = Stats{} }
 
 // CopyStateFrom transfers src's dynamic state — generator position,
 // counters, disarm flag, and recovery histogram — into p, which must have

@@ -2,8 +2,8 @@ package hv
 
 import (
 	"fmt"
+	"maps"
 
-	"optimus/internal/mem"
 	"optimus/internal/obs"
 )
 
@@ -119,14 +119,10 @@ func (h *Hypervisor) Clone() (*Hypervisor, error) {
 				weight:        va.weight,
 				priority:      va.priority,
 				runTime:       va.runTime,
-				mapped:        make(map[mem.GVA]bool, len(va.mapped)),
+				mapped:        maps.Clone(va.mapped),
 				forcedResets:  va.forcedResets,
 				quarantined:   va.quarantined,
 				pendingMapGVA: va.pendingMapGVA,
-			}
-			// Map-to-map set copy: insertion order is invisible.
-			for gva := range va.mapped { //optimus:unordered-ok
-				nva.mapped[gva] = true
 			}
 			npa.sched.attach(nva)
 		}

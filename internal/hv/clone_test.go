@@ -160,7 +160,8 @@ func TestCloneDeterminism(t *testing.T) {
 }
 
 // TestConcurrentClonesOwnTracers clones a template built with an explicit
-// Config.Trace twice and runs both clones at once (meaningful under -race):
+// Config.Trace from two goroutines at once and runs both clones
+// concurrently (meaningful under -race):
 // each clone must own a distinct tracer of the template's capacity, record
 // only its own run, and leave the template's ring untouched.
 func TestConcurrentClonesOwnTracers(t *testing.T) {
@@ -173,22 +174,24 @@ func TestConcurrentClonesOwnTracers(t *testing.T) {
 	tnT, dstT, plain := provisionCloneJob(t, hT)
 	templateEmitted := hT.Trace().Emitted()
 
+	// Each goroutine clones the shared template itself, so the template's
+	// page tables, memory and registry are read concurrently, as a sweep's
+	// workers read a published template.
 	var clones [2]*hv.Hypervisor
 	var devs [2]*guest.Device
-	for i := range clones {
-		hC, err := hT.Clone()
-		if err != nil {
-			t.Fatal(err)
-		}
-		vas := hC.Phy(0).VAccels()
-		clones[i], devs[i] = hC, tnT.dev.CloneFor(vas[0].Process(), vas[0])
-	}
 	var wg sync.WaitGroup
 	errs := make([]error, len(clones))
 	for i := range clones {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			hC, err := hT.Clone()
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			vas := hC.Phy(0).VAccels()
+			clones[i], devs[i] = hC, tnT.dev.CloneFor(vas[0].Process(), vas[0])
 			errs[i] = devs[i].Run()
 		}()
 	}

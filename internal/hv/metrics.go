@@ -12,8 +12,9 @@ import (
 // the hardware monitor, hv.* for trap-and-emulate bookkeeping, and
 // sched.pa<i>.* / accel.pa<i>.* per physical slot. Registration installs
 // read-through closures over the live Stats sources — nothing is sampled
-// until Registry.Snapshot — and wires each package's ResetStats into
-// Registry.Reset so metrics can be scoped to an experiment phase.
+// until Registry.Snapshot. Every counter is cumulative over the platform's
+// life; callers that want a phase's share take the difference of two
+// snapshots.
 //
 // New calls this automatically when Config.Metrics is set; it is exported so
 // tests and custom drivers can publish into their own registry.
@@ -25,7 +26,6 @@ func (h *Hypervisor) RegisterMetrics(r *obs.Registry) {
 	r.RegisterCounter("iommu.spec_hits", func() uint64 { return u.Stats().SpecHits })
 	r.RegisterCounter("iommu.faults", func() uint64 { return u.Stats().Faults })
 	r.RegisterGauge("iommu.hit_rate", func() float64 { return u.Stats().HitRate() })
-	r.OnReset(u.ResetStats)
 
 	sh := h.Shell
 	r.RegisterCounter("shell.reads", func() uint64 { return sh.Stats().Reads })
@@ -41,7 +41,6 @@ func (h *Hypervisor) RegisterMetrics(r *obs.Registry) {
 		r.RegisterCounter(fmt.Sprintf("shell.%s.bytes_written", name),
 			func() uint64 { return sh.Stats().PerChannelWrBytes[name] })
 	}
-	r.OnReset(sh.ResetStats)
 
 	if m := h.Monitor; m != nil {
 		r.RegisterCounter("hwmon.mmio_reads", func() uint64 { return m.Stats().MMIOReads })
@@ -51,7 +50,6 @@ func (h *Hypervisor) RegisterMetrics(r *obs.Registry) {
 		r.RegisterCounter("hwmon.dma_dropped", func() uint64 { return m.Stats().DMADropped })
 		r.RegisterCounter("hwmon.range_violations", func() uint64 { return m.Stats().RangeViolations })
 		r.RegisterCounter("hwmon.resets", func() uint64 { return m.Stats().Resets })
-		r.OnReset(m.ResetStats)
 	}
 
 	// Memory model: residency and copy-on-write sharing state. Gauges walk
@@ -62,7 +60,6 @@ func (h *Hypervisor) RegisterMetrics(r *obs.Registry) {
 	r.RegisterGauge("mem.shared_frames", func() float64 { return float64(pm.SharedFrames()) })
 	r.RegisterGauge("mem.dirty_frames", func() float64 { return float64(pm.DirtyFrameCount()) })
 	r.RegisterCounter("mem.cow_breaks", pm.CoWBreaks)
-	r.OnReset(pm.ResetCoWBreaks)
 
 	r.RegisterCounter("hv.mmio_traps", func() uint64 { return h.stats.MMIOTraps })
 	r.RegisterCounter("hv.hypercalls", func() uint64 { return h.stats.Hypercalls })
@@ -72,7 +69,6 @@ func (h *Hypervisor) RegisterMetrics(r *obs.Registry) {
 	r.RegisterCounter("hv.quarantines", func() uint64 { return h.stats.Quarantines })
 	r.RegisterCounter("hv.elastic_grows", func() uint64 { return h.stats.ElasticGrows })
 	r.RegisterCounter("hv.elastic_shrinks", func() uint64 { return h.stats.ElasticShrinks })
-	r.OnReset(func() { h.stats = Stats{} })
 
 	r.RegisterCounter("sched.forced_resets", func() uint64 {
 		var n uint64
@@ -96,7 +92,6 @@ func (h *Hypervisor) RegisterMetrics(r *obs.Registry) {
 		r.RegisterCounter("chaos.exhausted", func() uint64 { return p.Stats().Exhausted })
 		r.RegisterCounter("chaos.recovered", func() uint64 { return p.Stats().Recovered })
 		r.RegisterHistogram("chaos.recovery_latency", p.Recovery())
-		r.OnReset(p.ResetStats)
 	}
 
 	for _, pa := range h.Phys {

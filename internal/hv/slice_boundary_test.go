@@ -177,3 +177,52 @@ func TestDisableGuardAdjacentSlices(t *testing.T) {
 		t.Fatalf("adjacent slices share frame %#x; isolation broken", e0.PA)
 	}
 }
+
+// TestCloseAfterDMABaseRewrite checks that a vaccel's teardown removes the
+// IOPT entries its map hypercalls installed, not entries recomputed from
+// the current DMA base. A guest that rewrites BAR2RegDMABase so its first
+// page rebases onto the neighbouring slice and then closes must leave that
+// neighbour's mapping and pin intact, and must still release its own page.
+func TestCloseAfterDMABaseRewrite(t *testing.T) {
+	h, err := hv.New(hv.Config{Accels: []string{"AES", "AES"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := h.Config()
+	ps := cfg.PageSize
+	procA, vaA := boundaryTenant(t, h, 0)
+	procB, vaB := boundaryTenant(t, h, 1)
+
+	iovaB := mapGuestPage(t, h, procB, vaB, procB.DMABase)
+	iovaA := mapGuestPage(t, h, procA, vaA, procA.DMABase)
+	frame := func(p *hv.Process) mem.HPA {
+		hpa, err := p.TranslateToHPA(p.DMABase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mem.PageBase(hpa, ps)
+	}
+	frameA, frameB := frame(procA), frame(procB)
+
+	// Shift A's DMA base down one slice stride: A's first page now
+	// rebases onto B's first IOVA.
+	stride := cfg.SliceSize + cfg.SliceGuard
+	if err := vaA.BAR2Write(hv.BAR2RegDMABase, uint64(procA.DMABase)-stride); err != nil {
+		t.Fatal(err)
+	}
+	vaA.Close()
+
+	iopt := h.Shell.IOMMU.Table()
+	if e, ok := iopt.Lookup(iovaB); !ok || e.PA != frameB {
+		t.Fatalf("B's IOVA %#x after A's Close: entry %+v mapped=%v, want frame %#x", iovaB, e, ok, frameB)
+	}
+	if !h.FramePinned(frameB) {
+		t.Fatalf("A's Close unpinned B's frame %#x", frameB)
+	}
+	if _, ok := iopt.Lookup(iovaA); ok {
+		t.Fatalf("A's IOVA %#x still mapped after Close", iovaA)
+	}
+	if h.FramePinned(frameA) {
+		t.Fatalf("A's frame %#x still pinned after Close", frameA)
+	}
+}

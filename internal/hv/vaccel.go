@@ -54,7 +54,10 @@ type VAccel struct {
 	weight   int
 	priority int
 	runTime  sim.Time
-	mapped   map[mem.GVA]bool // registered GVA pages
+	// mapped holds the IOVA of every page the map hypercall installed.
+	// Close tears down exactly these: recomputing them from GVAs would use
+	// the current dmaBase, which the guest may have rewritten since.
+	mapped map[mem.IOVA]bool
 
 	// Forced-reset hardening (see Config.QuarantineAfter): how many times
 	// this vaccel has blown the preemption-handshake timeout, and whether it
@@ -91,7 +94,7 @@ func (h *Hypervisor) NewVAccel(proc *Process, slot int) (*VAccel, error) {
 		slice:   h.allocSlice(),
 		vstatus: accel.StatusIdle,
 		weight:  1,
-		mapped:  make(map[mem.GVA]bool),
+		mapped:  make(map[mem.IOVA]bool),
 		dmaBase: proc.DMABase,
 	}
 	pa.sched.attach(va)
@@ -107,13 +110,12 @@ func (va *VAccel) Close() {
 	// so iteration order is simulation-visible state (detwall).
 	iopt := va.hv.Shell.IOMMU.Table()
 	ps := va.hv.cfg.PageSize
-	gvas := make([]mem.GVA, 0, len(va.mapped))
-	for gva := range va.mapped {
-		gvas = append(gvas, gva)
+	iovas := make([]mem.IOVA, 0, len(va.mapped))
+	for iova := range va.mapped {
+		iovas = append(iovas, iova)
 	}
-	slices.Sort(gvas)
-	for _, gva := range gvas {
-		iova := va.iovaFor(gva)
+	slices.Sort(iovas)
+	for _, iova := range iovas {
 		if e, ok := iopt.Lookup(iova); ok {
 			va.hv.frames.Unpin(mem.PageBase(e.PA, ps))
 			iopt.Unmap(iova)
@@ -246,7 +248,8 @@ func (va *VAccel) mapPage(gva mem.GVA, gpa mem.GPA) error {
 	if err != nil {
 		return fmt.Errorf("hv: ept: %w", err)
 	}
-	if va.mapped[gva] {
+	iova := va.iovaFor(gva)
+	if va.mapped[iova] {
 		return nil // idempotent re-registration
 	}
 	if h.chaos != nil {
@@ -259,12 +262,11 @@ func (va *VAccel) mapPage(gva mem.GVA, gpa mem.GPA) error {
 	frame := mem.PageBase(hpa, ps)
 	h.frames.Pin(frame)
 	h.stats.PagesPinned++
-	iova := va.iovaFor(gva)
 	if err := h.Shell.IOMMU.Table().Map(iova, frame, pagetable.PermRW); err != nil {
 		h.frames.Unpin(frame)
 		return fmt.Errorf("hv: iopt: %w", err)
 	}
-	va.mapped[gva] = true
+	va.mapped[iova] = true
 	return nil
 }
 

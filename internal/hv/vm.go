@@ -29,16 +29,12 @@ func (h *Hypervisor) NewVM(name string, memBytes uint64) (*VM, error) {
 	if memBytes == 0 || memBytes > h.cfg.MemBytes {
 		return nil, fmt.Errorf("hv: vm memory %d out of range", memBytes)
 	}
-	levels := 4
-	if h.cfg.PageSize >= 2<<20 {
-		levels = 3
-	}
 	vm := &VM{
 		hv:       h,
 		ID:       h.nextVMID,
 		Name:     name,
 		memBytes: memBytes,
-		ept:      pagetable.New[mem.GPA, mem.HPA](h.cfg.PageSize, levels),
+		ept:      pagetable.New[mem.GPA, mem.HPA](h.cfg.PageSize, pagetable.Levels(h.cfg.PageSize)),
 	}
 	h.nextVMID++
 	h.vms = append(h.vms, vm)
@@ -89,13 +85,9 @@ const DefaultDMABase = 0x40_0000_0000
 
 // NewProcess creates a guest process.
 func (vm *VM) NewProcess() *Process {
-	levels := 4
-	if vm.hv.cfg.PageSize >= 2<<20 {
-		levels = 3
-	}
 	p := &Process{
 		vm:      vm,
-		pt:      pagetable.New[mem.GVA, mem.GPA](vm.hv.cfg.PageSize, levels),
+		pt:      pagetable.New[mem.GVA, mem.GPA](vm.hv.cfg.PageSize, pagetable.Levels(vm.hv.cfg.PageSize)),
 		DMABase: DefaultDMABase,
 	}
 	vm.procs = append(vm.procs, p)

@@ -180,17 +180,6 @@ func (m *Monitor) Stats() Stats { return m.stats }
 // (nil disables tracing).
 func (m *Monitor) SetTracer(tr *obs.Tracer) { m.tr = tr }
 
-// ResetStats zeroes the monitor and per-auditor counters, mirroring
-// iommu.ResetStats so the metrics registry can scope a snapshot to an
-// experiment phase. Reset generations are preserved — they fence in-flight
-// responses and are not statistics.
-func (m *Monitor) ResetStats() {
-	m.stats = Stats{}
-	for _, a := range m.auditors {
-		a.bytesRead, a.bytesWritten, a.respDropped = 0, 0, 0
-	}
-}
-
 // TreeLevels returns the multiplexer tree depth.
 func (m *Monitor) TreeLevels() int { return m.treeLevels }
 

@@ -26,6 +26,9 @@ import (
 // DefaultSets is the number of IOTLB sets on HARP (one entry per set).
 const DefaultSets = 512
 
+// regionBits is log2 of the speculative region's size (2 MB).
+const regionBits = 21
+
 // Config parameterizes the IOMMU model.
 type Config struct {
 	// Sets is the number of direct-mapped IOTLB sets (default 512).
@@ -55,9 +58,8 @@ func (c Config) withDefaults() Config {
 
 type tlbEntry struct {
 	valid bool
-	vpn   uint64  // full virtual page number (tag includes set index bits)
-	pa    mem.HPA // physical page base
-	perm  pagetable.Perm
+	vpn   uint64                   // full virtual page number (tag includes set index bits)
+	pte   pagetable.Entry[mem.HPA] // physical page base and permissions
 }
 
 // Stats counts IOMMU events.
@@ -86,9 +88,8 @@ type IOMMU struct {
 	sets  []tlbEntry
 	stats Stats
 
-	lastRegion     uint64 // last translated 2 MB-aligned region base + 1 (0 = none)
-	lastRegionPA   mem.HPA
-	lastRegionPerm pagetable.Perm
+	lastRegion    uint64 // last translated 2 MB region number + 1 (0 = none)
+	lastRegionPTE pagetable.Entry[mem.HPA]
 }
 
 // New returns an IOMMU using the given IO page table.
@@ -108,9 +109,6 @@ func (u *IOMMU) Integrated() bool { return u.cfg.Integrated }
 // Stats returns a copy of the accumulated statistics.
 func (u *IOMMU) Stats() Stats { return u.stats }
 
-// ResetStats zeroes the statistics (used between experiment phases).
-func (u *IOMMU) ResetStats() { u.stats = Stats{} }
-
 // setIndex computes the direct-mapped set for a virtual page number.
 func (u *IOMMU) setIndex(vpn uint64) int { return int(vpn % uint64(len(u.sets))) }
 
@@ -128,68 +126,61 @@ func (u *IOMMU) walkCost() sim.Time {
 
 // Translate translates iova for an access requiring perm. It returns the
 // host physical address, the added translation latency (zero on a TLB hit),
-// and whether the speculative same-region fast path applied.
+// and whether the speculative same-region fast path applied. A miss probes
+// the IO page table once; a fault installs no IOTLB entry.
+//
+//optimus:hotpath
 func (u *IOMMU) Translate(iova mem.IOVA, perm pagetable.Perm) (hpa mem.HPA, delay sim.Time, spec bool, err error) {
-	const regionBits = 21 // 2 MB speculative region
-	region := uint64(iova)>>regionBits + 1
-	if u.cfg.SpeculativeRegion && region == u.lastRegion && u.lastRegionPerm&perm == perm {
-		// Same 2 MB region as the previous access: the pipeline's
-		// speculation holds and translation costs nothing. Only exact for
-		// 2 MB pages; for 4 KB pages the region may span many pages, so the
-		// fast path applies only when the containing page is the same one
-		// cached by the region register.
-		if u.iopt.PageSize() >= 2<<20 || mem.PageBase(iova, u.iopt.PageSize()) == u.lastRegionCachedVA() {
-			u.stats.SpecHits++
-			return u.lastRegionPA + mem.HPA(mem.PageOff(iova, u.iopt.PageSize())), 0, true, nil
-		}
-	}
-
 	ps := u.iopt.PageSize()
+	// Same 2 MB region as the previous access: the pipeline's speculation
+	// holds and translation costs nothing. Only exact when a page covers
+	// the whole region, so 4 KB pages never take the fast path.
+	if u.cfg.SpeculativeRegion && ps >= 1<<regionBits &&
+		uint64(iova)>>regionBits+1 == u.lastRegion && u.lastRegionPTE.Perm&perm == perm {
+		u.stats.SpecHits++
+		return u.lastRegionPTE.PA + mem.HPA(mem.PageOff(iova, ps)), 0, true, nil
+	}
+
 	vpn := uint64(iova) / ps
-	set := u.setIndex(vpn)
-	e := &u.sets[set]
-	if e.valid && e.vpn == vpn {
-		if e.perm&perm != perm {
-			u.stats.Faults++
-			return 0, 0, false, fmt.Errorf("iommu: %w at iova %#x", pagetable.ErrPermission, iova)
-		}
+	e := &u.sets[u.setIndex(vpn)]
+	hit := e.valid && e.vpn == vpn
+	pte, mapped := e.pte, hit
+	if !hit {
+		// Miss: walk the IO page table across the interconnect.
+		u.stats.Misses++
+		delay = u.walkCost()
+		pte, mapped = u.iopt.Lookup(iova)
+	}
+	if !mapped || pte.Perm&perm != perm {
+		return 0, delay, false, u.fault(iova, perm, pte.Perm, mapped, hit)
+	}
+	if hit {
 		u.stats.Hits++
-		u.noteRegion(iova, e.pa, e.perm)
-		return e.pa + mem.HPA(mem.PageOff(iova, ps)), 0, false, nil
+	} else {
+		if e.valid {
+			u.stats.Evictions++
+		}
+		*e = tlbEntry{valid: true, vpn: vpn, pte: pte}
 	}
-
-	// Miss: walk the IO page table across the interconnect.
-	u.stats.Misses++
-	pa, werr := u.iopt.Translate(iova, perm)
-	if werr != nil {
-		u.stats.Faults++
-		return 0, u.walkCost(), false, fmt.Errorf("iommu: %w", werr)
-	}
-	entry, _ := u.iopt.Lookup(iova)
-	if e.valid && e.vpn != vpn {
-		u.stats.Evictions++
-	}
-	*e = tlbEntry{valid: true, vpn: vpn, pa: entry.PA, perm: entry.Perm}
-	u.noteRegion(iova, entry.PA, entry.Perm)
-	return pa, u.walkCost(), false, nil
-}
-
-func (u *IOMMU) noteRegion(iova mem.IOVA, pageBase mem.HPA, perm pagetable.Perm) {
-	const regionBits = 21
 	u.lastRegion = uint64(iova)>>regionBits + 1
-	u.lastRegionPA = pageBase
-	u.lastRegionPerm = perm
+	u.lastRegionPTE = pte
+	return pte.PA + mem.HPA(mem.PageOff(iova, ps)), delay, false, nil
 }
 
-// lastRegionCachedVA reconstructs the page VA backing the cached region
-// pointer for sub-2M page sizes.
-func (u *IOMMU) lastRegionCachedVA() mem.IOVA {
-	// For 4 KB pages the region register effectively caches one page; the
-	// translation held in lastRegionPA corresponds to the page of the last
-	// access, whose VA page base we recover from the region and PA is not
-	// enough — so we conservatively disable the fast path by returning an
-	// impossible address unless page size covers the region.
-	return ^mem.IOVA(0)
+// fault counts a translation fault and builds its error: a permission
+// fault on an IOTLB hit, or an unmapped page or a permission fault found
+// by the walk. Faults are the error path, not the hot path, so the
+// formatted error may allocate.
+func (u *IOMMU) fault(iova mem.IOVA, want, have pagetable.Perm, mapped, hit bool) error {
+	u.stats.Faults++
+	switch {
+	case hit:
+		return fmt.Errorf("iommu: %w at iova %#x", pagetable.ErrPermission, iova)
+	case !mapped:
+		return fmt.Errorf("iommu: %w: va=%#x", pagetable.ErrNotMapped, iova)
+	default:
+		return fmt.Errorf("iommu: %w: va=%#x have=%v want=%v", pagetable.ErrPermission, iova, have, want)
+	}
 }
 
 // Invalidate drops any IOTLB entry covering iova; the hypervisor issues it

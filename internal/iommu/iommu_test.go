@@ -61,8 +61,87 @@ func TestPermissionFaultOnTLBHit(t *testing.T) {
 	u, iopt := newIOMMU2M(Config{})
 	iopt.Map(0, 0x8000_0000, pagetable.PermRead)
 	u.Translate(0, pagetable.PermRead) // fill TLB
-	if _, _, _, err := u.Translate(0, pagetable.PermWrite); !errors.Is(err, pagetable.ErrPermission) {
+	_, d, _, err := u.Translate(0, pagetable.PermWrite)
+	if !errors.Is(err, pagetable.ErrPermission) || err.Error() != "iommu: pagetable: permission denied at iova 0x0" {
 		t.Fatalf("err = %v, want permission fault", err)
+	}
+	if st := u.Stats(); d != 0 || st.Misses != 1 || st.Faults != 1 {
+		t.Fatalf("hit fault: delay %v, stats %+v; want no walk, 1 miss, 1 fault", d, st)
+	}
+}
+
+// Faults on a miss are counted as one miss and one fault, keep their error
+// text, and install no IOTLB entry: the next permitted access misses again.
+func TestFaultOnMiss(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		pageSize uint64
+		levels   int
+		perm     pagetable.Perm // mapping permission; 0 leaves the page unmapped
+		want     error
+		text     string
+	}{
+		{"permission 2M", page2M, 3, pagetable.PermRead, pagetable.ErrPermission,
+			"iommu: pagetable: permission denied: va=0x40 have=r-- want=-w-"},
+		{"permission 4K", page4K, 4, pagetable.PermRead, pagetable.ErrPermission,
+			"iommu: pagetable: permission denied: va=0x40 have=r-- want=-w-"},
+		{"unmapped", page2M, 3, 0, pagetable.ErrNotMapped,
+			"iommu: pagetable: address not mapped: va=0x40"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			iopt := pagetable.New[mem.IOVA, mem.HPA](tc.pageSize, tc.levels)
+			if tc.perm != 0 {
+				iopt.Map(0, 0x8000_0000, tc.perm)
+			}
+			u := New(Config{}, iopt)
+			_, d, _, err := u.Translate(0x40, pagetable.PermWrite)
+			if !errors.Is(err, tc.want) || err.Error() != tc.text {
+				t.Fatalf("err = %v, want %q", err, tc.text)
+			}
+			if d == 0 {
+				t.Fatal("a faulting miss still pays the walk")
+			}
+			if st := u.Stats(); st.Misses != 1 || st.Faults != 1 || st.Hits != 0 {
+				t.Fatalf("stats = %+v, want 1 miss and 1 fault", st)
+			}
+			if tc.perm == 0 {
+				return
+			}
+			if _, d, _, err := u.Translate(0x40, pagetable.PermRead); err != nil || d == 0 {
+				t.Fatalf("permitted access after the fault: delay %v, err %v; want a miss", d, err)
+			}
+			if st := u.Stats(); st.Misses != 2 || st.Faults != 1 {
+				t.Fatalf("stats = %+v, want 2 misses and 1 fault", st)
+			}
+		})
+	}
+}
+
+// The speculative region fast path needs a page that covers the whole
+// 2 MB region, so with 4 KB pages it never fires, even within one page.
+func TestSpeculativeRegion4KNeverSpecHits(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		seq  []mem.IOVA
+	}{
+		{"same page", []mem.IOVA{0, 64, 128, 4095}},
+		{"same region", []mem.IOVA{0, page4K, 2 * page4K, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			iopt := pagetable.New[mem.IOVA, mem.HPA](page4K, 4)
+			for i := uint64(0); i < 4; i++ {
+				iopt.Map(mem.IOVA(i*page4K), mem.HPA(0x8000_0000+i*page4K), pagetable.PermRW)
+			}
+			u := New(Config{SpeculativeRegion: true}, iopt)
+			for _, va := range tc.seq {
+				if _, _, spec, err := u.Translate(va, pagetable.PermRead); err != nil || spec {
+					t.Fatalf("Translate(%#x): spec=%v err=%v", va, spec, err)
+				}
+			}
+			if st := u.Stats(); st.SpecHits != 0 {
+				t.Fatalf("4 KB IOMMU reported %d speculative hits", st.SpecHits)
+			}
+		})
 	}
 }
 
@@ -131,15 +210,16 @@ func TestNoThrashingWithinReach(t *testing.T) {
 		u.Translate(mem.IOVA(i*page2M), pagetable.PermRead)
 	}
 	rng := sim.NewRand(1)
-	u.ResetStats()
+	warm := u.Stats()
 	for i := 0; i < 10000; i++ {
 		va := mem.IOVA(rng.Uint64n(pages)) * page2M
 		if _, d, _, err := u.Translate(va, pagetable.PermRead); err != nil || d != 0 {
 			t.Fatalf("steady-state miss at %#x (err=%v)", va, err)
 		}
 	}
-	if u.Stats().HitRate() != 1 {
-		t.Fatalf("hit rate = %v", u.Stats().HitRate())
+	if st := u.Stats(); st.Hits-warm.Hits != 10000 || st.Misses != warm.Misses {
+		t.Fatalf("steady state: %d hits, %d misses; want 10000 hits, 0 misses",
+			st.Hits-warm.Hits, st.Misses-warm.Misses)
 	}
 }
 
@@ -179,11 +259,14 @@ func TestFlushAll(t *testing.T) {
 		u.Translate(mem.IOVA(i*page2M), pagetable.PermRead)
 	}
 	u.FlushAll()
-	u.ResetStats()
+	before := u.Stats()
 	for i := uint64(0); i < 4; i++ {
 		if _, d, _, _ := u.Translate(mem.IOVA(i*page2M), pagetable.PermRead); d == 0 {
 			t.Fatal("hit after FlushAll")
 		}
+	}
+	if st := u.Stats(); st.Misses-before.Misses != 4 || st.Hits != before.Hits {
+		t.Fatalf("after FlushAll: %d misses, %d hits; want 4, 0", st.Misses-before.Misses, st.Hits-before.Hits)
 	}
 }
 

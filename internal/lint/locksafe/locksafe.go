@@ -1,9 +1,10 @@
 // Package locksafe implements the optimuslint analyzer for the two lock
-// bugs that matter in the simulator's concurrent pieces (the parallel
-// sweep pool and the page tables shared between the shell's traversal and
-// the hypervisor's map/unmap path): copying a mutex-containing struct by
-// value — the copy's lock state diverges silently — and Lock/Unlock
-// imbalance within a function.
+// bugs that matter in the simulator's concurrent pieces: copying a
+// mutex-containing struct by value — the copy's lock state diverges
+// silently — and Lock/Unlock imbalance within a function. Platform state
+// (page tables, IOTLB, metrics registry) is owned by one goroutine and has
+// no lock; the locks that remain are obs.Collector's, shared by a sweep's
+// workers, and exp.Session's template cache.
 //
 // The copy check follows `go vet -copylocks` in spirit: any struct that
 // transitively contains a sync.Mutex or sync.RWMutex must move by

@@ -114,10 +114,6 @@ func (m *PhysMem) SharedBytes() uint64 { return uint64(m.SharedFrames()) * frame
 // privatized (copied) so far.
 func (m *PhysMem) CoWBreaks() uint64 { return m.cowBreaks }
 
-// ResetCoWBreaks zeroes the break counter so metric registries can scope it
-// to an experiment phase (obs.Registry.Reset); sharing state is untouched.
-func (m *PhysMem) ResetCoWBreaks() { m.cowBreaks = 0 }
-
 func (m *PhysMem) check(pa HPA, n int) {
 	if uint64(pa)+uint64(n) > m.size || pa+HPA(n) < pa {
 		panic(fmt.Sprintf("mem: access [%#x,%#x) beyond physical memory size %#x", pa, pa+HPA(n), m.size))

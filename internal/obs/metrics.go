@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"optimus/internal/sim"
 )
@@ -25,17 +24,14 @@ import (
 //   - Histogram — a *sim.LatencyStat, summarized with count/mean/min/max
 //     and lazy-sorted percentiles.
 //
-// Reset scopes metrics to an experiment phase: it zeroes owned counters and
-// invokes every OnReset hook (iommu.ResetStats, hwmon ResetStats, shell
-// ResetStats), mirroring how the experiments already reset the IOMMU
-// between warmup and measurement.
+// Counters are cumulative over the platform's life; a phase's share is the
+// difference of two snapshots. A registry belongs to its platform's
+// goroutine and has no lock.
 type Registry struct {
-	mu       sync.Mutex
 	counters map[string]func() uint64
 	gauges   map[string]func() float64
 	hists    map[string]*sim.LatencyStat
 	owned    map[string]*sim.Counter
-	resets   []func()
 }
 
 // NewRegistry returns an empty registry.
@@ -52,8 +48,6 @@ func NewRegistry() *Registry {
 // creating and registering it on first use. The returned handle is live:
 // Add on it is immediately visible to Snapshot.
 func (r *Registry) Counter(name string) *sim.Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if c, ok := r.owned[name]; ok {
 		return c
 	}
@@ -66,48 +60,17 @@ func (r *Registry) Counter(name string) *sim.Counter {
 // RegisterCounter registers a monotonically-increasing value read through fn
 // (typically a closure over an existing Stats field).
 func (r *Registry) RegisterCounter(name string, fn func() uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.counters[name] = fn
 }
 
 // RegisterGauge registers an instantaneous value read through fn.
 func (r *Registry) RegisterGauge(name string, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.gauges[name] = fn
 }
 
 // RegisterHistogram registers a latency distribution.
 func (r *Registry) RegisterHistogram(name string, h *sim.LatencyStat) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.hists[name] = h
-}
-
-// OnReset registers a hook run by Reset (e.g. a package's ResetStats).
-func (r *Registry) OnReset(fn func()) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.resets = append(r.resets, fn)
-}
-
-// Reset zeroes every owned counter and runs the registered reset hooks,
-// scoping subsequent snapshots to a fresh experiment phase.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	owned := make([]*sim.Counter, 0, len(r.owned))
-	for _, c := range r.owned {
-		owned = append(owned, c)
-	}
-	resets := append([]func(){}, r.resets...)
-	r.mu.Unlock()
-	for _, c := range owned {
-		c.Value = 0
-	}
-	for _, fn := range resets {
-		fn()
-	}
 }
 
 // HistSummary condenses a LatencyStat for a snapshot.
@@ -134,7 +97,6 @@ type Sample struct {
 
 // Snapshot reads every registered metric, sorted by name.
 func (r *Registry) Snapshot() []Sample {
-	r.mu.Lock()
 	out := make([]Sample, 0, len(r.counters)+len(r.gauges)+len(r.hists))
 	for name, fn := range r.counters {
 		out = append(out, Sample{Name: name, Kind: "counter", Value: float64(fn())})
@@ -142,12 +104,7 @@ func (r *Registry) Snapshot() []Sample {
 	for name, fn := range r.gauges {
 		out = append(out, Sample{Name: name, Kind: "gauge", Value: fn()})
 	}
-	hists := make(map[string]*sim.LatencyStat, len(r.hists))
 	for name, h := range r.hists {
-		hists[name] = h
-	}
-	r.mu.Unlock()
-	for name, h := range hists {
 		ps := h.Percentiles(50, 95, 99, 99.9)
 		out = append(out, Sample{
 			Name: name, Kind: "histogram", Value: float64(h.Count()),

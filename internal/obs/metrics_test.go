@@ -78,26 +78,6 @@ func TestRegistryHistogram(t *testing.T) {
 	}
 }
 
-func TestRegistryReset(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("events")
-	c.Add(10)
-	external := uint64(99)
-	r.RegisterCounter("external", func() uint64 { return external })
-	hookRan := false
-	r.OnReset(func() { external = 0; hookRan = true })
-
-	r.Reset()
-	if !hookRan {
-		t.Fatal("reset hook did not run")
-	}
-	for _, s := range r.Snapshot() {
-		if s.Value != 0 {
-			t.Fatalf("%s = %v after Reset", s.Name, s.Value)
-		}
-	}
-}
-
 func TestRegistryWriteJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hits").Add(4)

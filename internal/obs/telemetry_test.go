@@ -215,21 +215,29 @@ func TestSamplerRingWraparound(t *testing.T) {
 }
 
 func TestSamplerCounterResetClampsToZero(t *testing.T) {
-	r, c, _ := testRegistry()
+	r := NewRegistry()
+	var v uint64
+	r.RegisterCounter("test.dropping", func() uint64 { return v })
 	k := sim.NewKernel()
 	s := NewSampler(r, nil, SampleConfig{Window: sim.Microsecond, MaxWindows: 8})
 	s.Attach(k)
-	k.At(500, func() { c.Add(5) })
-	k.At(sim.Microsecond+1, func() { r.Reset() }) // mid-run phase reset
+	k.At(500, func() { v = 5 })
+	k.At(sim.Microsecond+1, func() { v = 2 }) // the source drops mid-run
+	k.At(2*sim.Microsecond+1, func() { v = 3 })
 	k.RunUntil(3 * sim.Microsecond)
 	p := s.export("w")
+	found := false
 	for _, ser := range p.Series {
-		if ser.Name != "test.count" {
+		if ser.Name != "test.dropping" {
 			continue
 		}
-		if ser.Deltas[0] != 5 || ser.Deltas[1] != 0 {
-			t.Fatalf("deltas across reset = %v, want [5 0 ...]", ser.Deltas)
+		found = true
+		if ser.Deltas[0] != 5 || ser.Deltas[1] != 0 || ser.Deltas[2] != 1 {
+			t.Fatalf("deltas across the drop = %v, want [5 0 1]", ser.Deltas)
 		}
+	}
+	if !found {
+		t.Fatal("no test.dropping series")
 	}
 }
 

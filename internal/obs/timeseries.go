@@ -133,7 +133,6 @@ func (s *Sampler) bind() {
 	s.ends = make([]sim.Time, max)
 
 	r := s.reg
-	r.mu.Lock()
 	for name, fn := range r.counters {
 		s.counters = append(s.counters, counterSeries{name: name, fn: fn, ring: make([]uint64, max)})
 	}
@@ -147,7 +146,6 @@ func (s *Sampler) bind() {
 			p50:   make([]float64, max), p99: make([]float64, max), p999: make([]float64, max),
 		})
 	}
-	r.mu.Unlock()
 
 	// The profiler's per-class cumulative totals join as synthetic counters:
 	// delta-encoding them yields per-window utilization series for free.
@@ -171,7 +169,7 @@ func (s *Sampler) bind() {
 
 // sample records one window ending at boundary. Fixed sweep over prebuilt
 // closures into preallocated rings; nothing here may allocate (a counter
-// reset between windows clamps to zero rather than going negative).
+// that drops between windows clamps to zero rather than going negative).
 //
 //optimus:hotpath
 func (s *Sampler) sample(boundary sim.Time) {

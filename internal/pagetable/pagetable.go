@@ -7,6 +7,12 @@
 // with an explicit walk-depth cost, rather than as bytes in simulated
 // memory: what the evaluation depends on is mapping semantics, permission
 // checks, and the number of memory references a hardware walker performs.
+// Entries carry no accessed/dirty bits, since nothing in the model reads
+// them, so translation never writes the table.
+//
+// Every table is owned by the one goroutine that drives its platform's
+// event kernel, so it has no lock. The only cross-goroutine access is
+// read-only: clones of a published template copy its tables concurrently.
 //
 // A Table is generic over the address space it translates from (V) and to
 // (P): the guest MMU is a Table[mem.GVA, mem.GPA], the EPT a
@@ -19,7 +25,7 @@ package pagetable
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"maps"
 
 	"optimus/internal/mem"
 )
@@ -60,36 +66,33 @@ var (
 
 // Entry is one page mapping into the P address space.
 type Entry[P mem.Addr] struct {
-	PA       P
-	Perm     Perm
-	PageSize uint64
-	// Accessed and Dirty mirror hardware A/D bits; the hypervisor's shadow
-	// paging logic reads them when tearing down mappings.
-	Accessed bool
-	Dirty    bool
+	PA   P
+	Perm Perm
+}
+
+// Levels returns the radix depth a hardware walker traverses for the given
+// page size: 3 for 2 MB (and larger) pages, 4 for 4 KB pages, as on x86-64.
+func Levels(pageSize uint64) int {
+	if pageSize >= mem.PageSize2M {
+		return 3
+	}
+	return 4
 }
 
 // Table maps virtual page numbers in the V space to Entries in the P space
-// for a single page size. A Table is safe for concurrent use; the simulated
-// CPU side (guest processes) and the device side (IOMMU walker) may race in
-// tests even though the DES itself is single-threaded.
+// for a single page size. It has no lock and translation is read-only (see
+// the package comment).
 //
 //optimus:state
 type Table[V, P mem.Addr] struct {
-	mu       sync.RWMutex
 	pageSize uint64
 	levels   int
-	entries  map[uint64]*Entry[P]
-	// epoch increments on any modification; the IOMMU uses it to know when
-	// cached IOTLB entries might be stale (simulating invalidation
-	// requirements).
-	epoch uint64
+	entries  map[uint64]Entry[P]
 }
 
 // New returns a table for the given page size. levels is the radix depth a
-// hardware walker traverses (4 for x86-64 4K pages, 3 for 2M pages); it is
-// exposed so the IOMMU can charge the correct number of memory references
-// per walk.
+// hardware walker traverses (see Levels); it is exposed so the IOMMU can
+// charge the correct number of memory references per walk.
 func New[V, P mem.Addr](pageSize uint64, levels int) *Table[V, P] {
 	if pageSize == 0 || pageSize&(pageSize-1) != 0 {
 		panic(fmt.Sprintf("pagetable: page size %d not a power of two", pageSize))
@@ -97,7 +100,7 @@ func New[V, P mem.Addr](pageSize uint64, levels int) *Table[V, P] {
 	if levels <= 0 {
 		panic("pagetable: levels must be positive")
 	}
-	return &Table[V, P]{pageSize: pageSize, levels: levels, entries: make(map[uint64]*Entry[P])}
+	return &Table[V, P]{pageSize: pageSize, levels: levels, entries: make(map[uint64]Entry[P])}
 }
 
 // PageSize returns the table's page size.
@@ -106,19 +109,8 @@ func (t *Table[V, P]) PageSize() uint64 { return t.pageSize }
 // WalkLevels returns the radix depth of a hardware walk of this table.
 func (t *Table[V, P]) WalkLevels() int { return t.levels }
 
-// Epoch returns the modification epoch (increments on Map/Unmap/Protect).
-func (t *Table[V, P]) Epoch() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.epoch
-}
-
 // Len returns the number of mapped pages.
-func (t *Table[V, P]) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.entries)
-}
+func (t *Table[V, P]) Len() int { return len(t.entries) }
 
 func (t *Table[V, P]) vpn(va V) uint64 { return uint64(va) / t.pageSize }
 
@@ -129,107 +121,54 @@ func (t *Table[V, P]) Map(va V, pa P, perm Perm) error {
 	if !mem.Aligned(va, t.pageSize) || !mem.Aligned(pa, t.pageSize) {
 		return fmt.Errorf("%w: va=%#x pa=%#x pagesize=%#x", ErrMisaligned, va, pa, t.pageSize)
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	vpn := t.vpn(va)
 	if _, ok := t.entries[vpn]; ok {
 		return fmt.Errorf("%w: va=%#x", ErrExists, va)
 	}
-	t.entries[vpn] = &Entry[P]{PA: pa, Perm: perm, PageSize: t.pageSize}
-	t.epoch++
+	t.entries[vpn] = Entry[P]{PA: pa, Perm: perm}
 	return nil
 }
 
 // Unmap removes the mapping containing va.
 func (t *Table[V, P]) Unmap(va V) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	vpn := t.vpn(va)
 	if _, ok := t.entries[vpn]; !ok {
 		return fmt.Errorf("%w: va=%#x", ErrNotMapped, va)
 	}
 	delete(t.entries, vpn)
-	t.epoch++
 	return nil
 }
 
-// Protect changes the permissions of the page containing va.
-func (t *Table[V, P]) Protect(va V, perm Perm) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.entries[t.vpn(va)]
-	if !ok {
-		return fmt.Errorf("%w: va=%#x", ErrNotMapped, va)
-	}
-	e.Perm = perm
-	t.epoch++
-	return nil
-}
-
-// Lookup returns the entry for the page containing va without touching
-// A/D bits (software inspection path).
+// Lookup returns the entry for the page containing va: one map probe, the
+// walk an IOTLB miss performs.
+//
+//optimus:hotpath
 func (t *Table[V, P]) Lookup(va V) (Entry[P], bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	e, ok := t.entries[t.vpn(va)]
-	if !ok {
-		return Entry[P]{}, false
-	}
-	return *e, true
+	return e, ok
 }
 
 // Translate performs a hardware-style translation of va for an access with
-// the given required permissions, setting A/D bits. It returns the physical
-// address corresponding to va (page base plus offset).
+// the given required permissions. It returns the physical address
+// corresponding to va (page base plus offset).
 func (t *Table[V, P]) Translate(va V, req Perm) (P, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.entries[t.vpn(va)]
+	e, ok := t.Lookup(va)
 	if !ok {
 		return 0, fmt.Errorf("%w: va=%#x", ErrNotMapped, va)
 	}
 	if e.Perm&req != req {
 		return 0, fmt.Errorf("%w: va=%#x have=%v want=%v", ErrPermission, va, e.Perm, req)
 	}
-	e.Accessed = true
-	if req&PermWrite != 0 {
-		e.Dirty = true
-	}
 	return e.PA + P(mem.PageOff(va, t.pageSize)), nil
 }
 
-// PageBase returns the base virtual address of the page containing va.
-func (t *Table[V, P]) PageBase(va V) V { return mem.PageBase(va, t.pageSize) }
-
-// CopyFrom replaces t's mappings with a deep copy of src's. Entries are
-// duplicated (not shared) because Translate mutates their A/D bits in
-// place. Both tables must have been built with the same geometry; the
-// epoch is copied so IOTLB staleness checks behave identically in the
-// copy. Used by hypervisor cloning.
+// CopyFrom replaces t's mappings with a copy of src's; src is only read.
+// Both tables must have been built with the same geometry. Used by
+// hypervisor cloning.
 func (t *Table[V, P]) CopyFrom(src *Table[V, P]) {
 	if t.pageSize != src.pageSize || t.levels != src.levels {
 		panic(fmt.Sprintf("pagetable: CopyFrom geometry mismatch (%d/%d vs %d/%d)",
 			t.pageSize, t.levels, src.pageSize, src.levels))
 	}
-	src.mu.RLock()
-	defer src.mu.RUnlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.entries = make(map[uint64]*Entry[P], len(src.entries))
-	for vpn, e := range src.entries {
-		dup := *e
-		t.entries[vpn] = &dup
-	}
-	t.epoch = src.epoch
-}
-
-// ForEach calls fn for every mapping in unspecified order; fn must not
-// modify the table. Callers that feed simulation state or output from the
-// walk must collect and sort first (see the detwall analyzer).
-func (t *Table[V, P]) ForEach(fn func(vaBase V, e Entry[P])) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for vpn, e := range t.entries {
-		fn(V(vpn*t.pageSize), *e)
-	}
+	t.entries = maps.Clone(src.entries)
 }

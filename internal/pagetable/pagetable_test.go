@@ -43,11 +43,14 @@ func TestPermissionEnforcement(t *testing.T) {
 	if _, err := pt.Translate(0x1000, PermRead); err != nil {
 		t.Fatalf("read of read-only page failed: %v", err)
 	}
-	if err := pt.Protect(0x1000, PermRW); err != nil {
+	if err := pt.Unmap(0x1000); err != nil {
+		t.Fatal(err)
+	}
+	if err := pt.Map(0x1000, 0x2000, PermRW); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := pt.Translate(0x1000, PermWrite); err != nil {
-		t.Fatalf("write after Protect(RW) failed: %v", err)
+		t.Fatalf("write after remapping RW failed: %v", err)
 	}
 }
 
@@ -80,39 +83,6 @@ func TestUnmap(t *testing.T) {
 	}
 	if err := pt.Unmap(0x1000); !errors.Is(err, ErrNotMapped) {
 		t.Fatalf("double unmap: err = %v", err)
-	}
-}
-
-func TestAccessedDirtyBits(t *testing.T) {
-	pt := newGVAGPA(4096, 4)
-	pt.Map(0x1000, 0x2000, PermRW)
-	e, _ := pt.Lookup(0x1000)
-	if e.Accessed || e.Dirty {
-		t.Fatal("fresh mapping has A/D set")
-	}
-	pt.Translate(0x1000, PermRead)
-	e, _ = pt.Lookup(0x1000)
-	if !e.Accessed || e.Dirty {
-		t.Fatalf("after read: A=%v D=%v, want A only", e.Accessed, e.Dirty)
-	}
-	pt.Translate(0x1000, PermWrite)
-	e, _ = pt.Lookup(0x1000)
-	if !e.Dirty {
-		t.Fatal("write did not set dirty bit")
-	}
-}
-
-func TestEpochAdvances(t *testing.T) {
-	pt := newGVAGPA(4096, 4)
-	e0 := pt.Epoch()
-	pt.Map(0x1000, 0x2000, PermRW)
-	if pt.Epoch() == e0 {
-		t.Fatal("Map did not bump epoch")
-	}
-	e1 := pt.Epoch()
-	pt.Unmap(0x1000)
-	if pt.Epoch() == e1 {
-		t.Fatal("Unmap did not bump epoch")
 	}
 }
 
@@ -171,12 +141,13 @@ func TestForEachAndLen(t *testing.T) {
 	if pt.Len() != 3 {
 		t.Fatalf("Len = %d", pt.Len())
 	}
-	got := make(map[mem.GVA]mem.GPA)
-	pt.ForEach(func(va mem.GVA, e Entry[mem.GPA]) { got[va] = e.PA })
 	for va, pa := range want {
-		if got[va] != pa {
-			t.Fatalf("ForEach missing %#x→%#x", va, pa)
+		if e, ok := pt.Lookup(va + 0x10); !ok || e.PA != pa || e.Perm != PermRead {
+			t.Fatalf("Lookup(%#x) = %+v, %v; want %#x→%#x r--", va+0x10, e, ok, va, pa)
 		}
+	}
+	if _, ok := pt.Lookup(0x2000); ok {
+		t.Fatal("Lookup found an unmapped page")
 	}
 }
 
@@ -192,10 +163,44 @@ func TestPermString(t *testing.T) {
 	}
 }
 
+// An address anywhere in a huge page resolves to that page's entry.
 func TestPageBase(t *testing.T) {
 	pt := newGVAGPA(2<<20, 3)
-	if pt.PageBase(0x212345) != 0x200000 {
-		t.Fatalf("PageBase = %#x", pt.PageBase(0x212345))
+	pt.Map(0x200000, 0x40000000, PermRW)
+	if e, ok := pt.Lookup(0x212345); !ok || e.PA != 0x40000000 {
+		t.Fatalf("Lookup(0x212345) = %+v, %v; want the page at 0x200000", e, ok)
+	}
+	if _, ok := pt.Lookup(0x1fffff); ok {
+		t.Fatal("Lookup(0x1fffff) found the next page's entry")
+	}
+}
+
+func TestLevels(t *testing.T) {
+	if got := Levels(mem.PageSize4K); got != 4 {
+		t.Fatalf("Levels(4K) = %d, want 4", got)
+	}
+	if got := Levels(mem.PageSize2M); got != 3 {
+		t.Fatalf("Levels(2M) = %d, want 3", got)
+	}
+}
+
+// CopyFrom clones the entry map in one piece: its allocations do not grow
+// with the number of mapped pages.
+func TestCopyFromAllocsConstant(t *testing.T) {
+	src := newGVAGPA(4096, 4)
+	for i := uint64(0); i < 1024; i++ {
+		src.Map(mem.GVA(i*4096), mem.GPA(0x100000+i*4096), PermRW)
+	}
+	dst := newGVAGPA(4096, 4)
+	allocs := testing.AllocsPerRun(20, func() { dst.CopyFrom(src) })
+	if allocs > 16 {
+		t.Fatalf("CopyFrom of 1024 entries made %v allocations, want O(1)", allocs)
+	}
+	if dst.Len() != src.Len() {
+		t.Fatalf("copy holds %d pages, want %d", dst.Len(), src.Len())
+	}
+	if pa, err := dst.Translate(1023*4096+8, PermWrite); err != nil || pa != 0x100000+1023*4096+8 {
+		t.Fatalf("copy translates last page to %#x, %v", pa, err)
 	}
 }
 

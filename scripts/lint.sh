@@ -24,11 +24,12 @@ go run ./cmd/optimuslint ./...
 # profiler's interval accounting riding on it), the shell's DMA packet
 # path, the auditor's pooled request path, the kernel's epoch firing, the
 # chaos draw path, the traffic engine's admission/dispatch path, the
-# MemBench and LinkedList pumps with their completions, and PhysMem's
-# frame-table walk all claim zero allocations; hold them to that even if
-# the package-wide run above ever narrows its scope.
-echo "== hotalloc (obs/ccip/chaos/hwmon/sim/load/accel/mem hot paths) =="
-go run ./cmd/optimuslint -only hotalloc ./internal/obs ./internal/ccip ./internal/chaos ./internal/hwmon ./internal/sim ./internal/load ./internal/accel ./internal/mem
+# MemBench and LinkedList pumps with their completions, PhysMem's
+# frame-table walk, and the IOMMU's translation with its page-table probe
+# all claim zero allocations; hold them to that even if the package-wide
+# run above ever narrows its scope.
+echo "== hotalloc (obs/ccip/chaos/hwmon/sim/load/accel/mem/iommu/pagetable hot paths) =="
+go run ./cmd/optimuslint -only hotalloc ./internal/obs ./internal/ccip ./internal/chaos ./internal/hwmon ./internal/sim ./internal/load ./internal/accel ./internal/mem ./internal/iommu ./internal/pagetable
 
 if command -v staticcheck >/dev/null 2>&1; then
     echo "== staticcheck ($(staticcheck -version 2>/dev/null || echo unknown)) =="
